@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
+from .reduction import lsub_walk
 from .terms import Bind, BindKind, Env, Flat, FlatKind, Sort, Term, Var, env_push
 
 __all__ = ["Arity", "Base", "Arrow", "aaa", "lsuba_holds"]
@@ -83,22 +84,8 @@ def _aaa(env: Env, term: Term) -> Optional[Arity]:
 def lsuba_holds(env1: Env, env2: Env) -> bool:
     """Refinement for preservation of atomic arity (atom/pair/beta)."""
 
-    if not env1 and not env2:
-        return True
-    if not env1 or not env2:
-        return False
-    head1, head2 = env1[0], env2[0]
-    rest1, rest2 = env1[1:], env2[1:]
-    if head1 != head2:
-        match head1, head2:
-            case (
-                (BindKind.ABBR, Flat(FlatKind.CAST, w1, _) as cast_term),
-                (BindKind.ABST, w2),
-            ) if w1 == w2:
-                left = aaa(rest1, cast_term)
-                right = aaa(rest2, w2)
-                if left is None or left != right:
-                    return False
-            case _:
-                return False
-    return lsuba_holds(rest1, rest2)
+    def cast_ok(rest1: Env, rest2: Env, w: Term, v: Term) -> bool:
+        left = aaa(rest1, Flat(FlatKind.CAST, w, v))
+        return left is not None and left == aaa(rest2, w)
+
+    return lsub_walk(env1, env2, cast_ok)

@@ -4,7 +4,8 @@ A closure steps to its direct subclosures, to reducts of its term, and to
 environments reduced in a way its term can observe.  The union is finitely
 branching, and certifying that no infinite chain leaves a closure amounts
 to exhausting its reachable graph and finding it acyclic — the closure
-analogue of :func:`lamcalc.extended.csx_certify`, staged the same way.
+analogue of :func:`lamcalc.extended.csx_certify`, run by the same staged
+certifier, :func:`lamcalc.traversal.certify`, over closures.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from itertools import product
 
 from .errors import BudgetExceeded
 from .extended import (
-    CYCLE_SCAN_SLACK,
     Cycle,
-    _cpx_bounded,
+    _ext,
     _seq_steps,
     _step_to,
     cpx_reducts,
@@ -24,6 +24,7 @@ from .extended import (
     lpx_holds,
     lpx_reducts,
 )
+from .reduction import one_step
 from .relocation import delift
 from .sexpr import print_env, print_term
 from .terms import (
@@ -38,7 +39,7 @@ from .terms import (
     env_push,
     term_size,
 )
-from .traversal import explore
+from .traversal import certify
 from .universe import closure_key
 
 __all__ = [
@@ -213,65 +214,23 @@ def _closure_seq_steps(params: Params, c: Closure):
 CLOSURE_SCAN_DEPTH = 6
 
 
-def _closure_scan(params: Params, root: Closure) -> Cycle | None:
-    """Look for a short closure cycle before exhaustive traversal.
-
-    Walks single-redex closure steps to a fixed depth, asking at each node
-    whether one proper step — parallel reduction, observed environment
-    reduction, or subclosure descent — returns to a node on the current
-    path.  A hit refutes the certificate outright; a miss proves nothing.
-    """
-
-    cap = closure_measure(root) + CYCLE_SCAN_SLACK
-    seen: set[Closure] = set()
-    path: list[Closure] = []
-
-    def visit(c: Closure, depth: int) -> Cycle | None:
-        for idx, back in enumerate(path):
-            if _fpb_holds(params, c, back):
-                return Cycle(tuple(path[idx:] + [c]))
-        if depth == 0 or c in seen:
-            return None
-        seen.add(c)
-        path.append(c)
-        try:
-            steps = sorted(
-                {
-                    s
-                    for s in _closure_seq_steps(params, c)
-                    if s != c and closure_measure(s) <= cap
-                },
-                key=_closure_sort_key,
-            )
-            for s in steps:
-                got = visit(s, depth - 1)
-                if got is not None:
-                    return got
-        finally:
-            path.pop()
-        return None
-
-    return visit(root, CLOSURE_SCAN_DEPTH)
-
-
 def _bounded_successors(
     params: Params, c: Closure, cap: int
-) -> tuple[list[Closure], bool]:
+) -> tuple[set[Closure], bool]:
     """Proper-step successors restricted to closures of measure ``cap``.
 
-    Returns the sorted list and whether anything was pruned; when nothing
-    was, the list is exactly the full successor set.  Subclosures always
-    survive the cap because their measure shrinks.
+    Returns the set and whether anything was pruned; when nothing was, the
+    set is exactly the full successor set.  Subclosures always survive the
+    cap because their measure shrinks.
     """
 
     env, term = c
     pruned = False
     out: set[Closure] = set(fqu_children(env, term))
 
+    ext = _ext(params.c, params.big_d)
     base = sum(term_size(s) for _, s in env)
-    tset, tpruned = _cpx_bounded(
-        params.c, params.big_d, env, term, cap - base, params.budget
-    )
+    tset, tpruned = one_step(ext, env, term, cap - base, params.budget)
     pruned |= tpruned
     for t2 in tset:
         if t2 != term:
@@ -282,9 +241,7 @@ def _bounded_successors(
     for i, (kind, side) in enumerate(env):
         # any single entry can use all the room the other entries leave
         ecap = room - (len(env) - 1)
-        sset, spruned = _cpx_bounded(
-            params.c, params.big_d, env[i + 1 :], side, ecap, params.budget
-        )
+        sset, spruned = one_step(ext, env[i + 1 :], side, ecap, params.budget)
         pruned |= spruned
         choices.append([(kind, s2) for s2 in sset])
     for picked in product(*choices):
@@ -297,7 +254,7 @@ def _bounded_successors(
         if len(out) > params.budget:
             raise BudgetExceeded(f"more than {params.budget} successors")
 
-    return sorted(out, key=_closure_sort_key), pruned
+    return out, pruned
 
 
 def fsb_certify(params: Params, env: Env, term: Term) -> BigTreeReport | Cycle:
@@ -305,37 +262,26 @@ def fsb_certify(params: Params, env: Env, term: Term) -> BigTreeReport | Cycle:
 
     Explores every closure reachable by subclosure descent, proper term
     reduction and observed environment reduction; a finite acyclic graph
-    certifies the property because branching is finite.  Staged like the
-    term-level certifier: a bounded-depth cycle scan (its cycles are
-    genuine), then the graph restricted to closures near the root's
-    measure (exact when nothing is pruned), then the unrestricted graph.
+    certifies the property because branching is finite.  Staged by
+    :func:`lamcalc.traversal.certify`, like the term-level certifier: a
+    scan of single-redex closure steps to :data:`CLOSURE_SCAN_DEPTH`,
+    asking at each closure whether one proper step — parallel reduction,
+    observed environment reduction, or subclosure descent — returns to the
+    path, then the graph restricted to closures near the root's measure
+    (exact when nothing is pruned), then the unrestricted graph.
     """
 
-    got = _closure_scan(params, Closure(env, term))
-    if got is not None:
-        return got
-
-    cap = closure_measure(Closure(env, term)) + CYCLE_SCAN_SLACK
-    clean = True
-
-    def bounded(c: Closure) -> list[Closure]:
-        nonlocal clean
-        succ, pruned = _bounded_successors(params, c, cap)
-        if pruned:
-            clean = False
-        return succ
-
-    got = explore(Closure(env, term), bounded, params.budget)
-    if isinstance(got, Cycle):
-        return got
-    if clean:
-        nodes, edges, depth = got
-        return BigTreeReport(nodes, edges, depth)
-
-    def successors(c: Closure) -> list[Closure]:
-        return sorted(fpb_successors(params, *c), key=_closure_sort_key)
-
-    got = explore(Closure(env, term), successors, params.budget)
+    got = certify(
+        Closure(env, term),
+        measure=closure_measure,
+        key=_closure_sort_key,
+        skeleton=lambda c: _closure_seq_steps(params, c),
+        closes=lambda c, back: _fpb_holds(params, c, back),
+        depth=CLOSURE_SCAN_DEPTH,
+        bounded=lambda c, cap: _bounded_successors(params, c, cap),
+        full=lambda c: fpb_successors(params, *c),
+        budget=params.budget,
+    )
     if isinstance(got, Cycle):
         return got
     nodes, edges, depth = got

@@ -7,6 +7,7 @@ Extended reduction adds three redexes on top of plain parallel reduction:
   with its expected type;
 * e     — from a cast, keep the annotation instead of the term.
 
+All the rules are stated once, in :func:`lamcalc.reduction.one_step`.
 These are the steps that static types take, so strong normalization of
 extended reduction (``csx_certify``) is the property the stratified-validity
 layer leans on.  Lazy equivalence (``lleq_holds``) identifies environments
@@ -18,9 +19,8 @@ cannot change a term's referred entries forever.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
-from .errors import BudgetExceeded
+from .reduction import env_reducts, one_step
 from .relocation import delift, lift
 from .terms import (
     Bind,
@@ -35,7 +35,7 @@ from .terms import (
     env_push,
     term_size,
 )
-from .traversal import Cycle, SnReport, explore
+from .traversal import Cycle, SnReport, certify, explore
 from .universe import env_key, term_key
 
 __all__ = [
@@ -55,95 +55,18 @@ __all__ = [
     "SnReport",
 ]
 
-_CPX: dict[tuple[int, int, Env, Term], frozenset[Term]] = {}
-_CPX_BOUNDED: dict[tuple[int, int, Env, Term, int], tuple[frozenset[Term], bool]] = {}
 
-# Slack added to the root size when scanning for small cycles.  Parallel
-# reduct sets grow multiplicatively with term size, so certifiers look for
-# a cycle among reducts near the root's size before attempting the (often
-# much larger, possibly infinite) full reachable graph.
-CYCLE_SCAN_SLACK = 8
+@lru_cache(maxsize=None)
+def _ext(c: int, big_d: int) -> tuple[int, int]:
+    """The :func:`one_step` switch for a hierarchy, shared by memo keys."""
 
-
-def _guard(n: int, budget: int) -> None:
-    if n > budget:
-        raise BudgetExceeded(f"reduct set would exceed {budget} elements")
+    return (c, big_d)
 
 
 def cpx_reducts(params: Params, env: Env, term: Term) -> frozenset[Term]:
     """All one-step extended parallel reducts of ``term`` (incl. itself)."""
 
-    return _cpx(params.c, params.big_d, env, term, params.budget)
-
-
-def _cpx(c: int, big_d: int, env: Env, term: Term, budget: int) -> frozenset[Term]:
-    key = (c, big_d, env, term)
-    got = _CPX.get(key)
-    if got is None:
-        got = frozenset(_xreducts(c, big_d, env, term, budget))
-        _CPX[key] = got
-    _guard(len(got), budget)
-    return got
-
-
-def _xreducts(c: int, big_d: int, env: Env, term: Term, budget: int) -> set[Term]:
-    out: set[Term] = set()
-    match term:
-        case Sort(k):
-            out.add(term)
-            if max(big_d - k // c, 0) >= 1:
-                out.add(Sort(k + c))
-        case Var(i):
-            out.add(term)
-            if i < len(env):
-                for v2 in _cpx(c, big_d, env[i + 1 :], env[i][1], budget):
-                    out.add(lift(0, i + 1, v2))
-        case Bind(kind, side, body):
-            sides = _cpx(c, big_d, env, side, budget)
-            bodies = _cpx(c, big_d, env_push(env, kind, side), body, budget)
-            _guard(len(sides) * len(bodies), budget)
-            for s2, b2 in product(sides, bodies):
-                out.add(Bind(kind, s2, b2))
-            if kind == BindKind.ABBR:
-                for b2 in bodies:
-                    dropped = delift(0, 1, b2)
-                    if dropped is not None:
-                        out.add(dropped)
-        case Flat(FlatKind.CAST, side, body):
-            sides = _cpx(c, big_d, env, side, budget)
-            bodies = _cpx(c, big_d, env, body, budget)
-            _guard(len(sides) * len(bodies), budget)
-            for s2, b2 in product(sides, bodies):
-                out.add(Flat(FlatKind.CAST, s2, b2))
-            out |= bodies
-            out |= sides
-        case Flat(FlatKind.APPL, side, body):
-            args = _cpx(c, big_d, env, side, budget)
-            funs = _cpx(c, big_d, env, body, budget)
-            _guard(len(args) * len(funs), budget)
-            for v2, t2 in product(args, funs):
-                out.add(Flat(FlatKind.APPL, v2, t2))
-            match body:
-                case Bind(BindKind.ABST, w, u):
-                    doms = _cpx(c, big_d, env, w, budget)
-                    bodies = _cpx(c, big_d, env_push(env, BindKind.ABST, w), u, budget)
-                    _guard(len(args) * len(doms) * len(bodies), budget)
-                    for v2, w2, u2 in product(args, doms, bodies):
-                        out.add(Bind(BindKind.ABBR, Flat(FlatKind.CAST, w2, v2), u2))
-                case Bind(BindKind.ABBR, u, s):
-                    defs = _cpx(c, big_d, env, u, budget)
-                    bodies = _cpx(c, big_d, env_push(env, BindKind.ABBR, u), s, budget)
-                    _guard(len(args) * len(defs) * len(bodies), budget)
-                    for v2, u2, s2 in product(args, defs, bodies):
-                        out.add(
-                            Bind(
-                                BindKind.ABBR,
-                                u2,
-                                Flat(FlatKind.APPL, lift(0, 1, v2), s2),
-                            )
-                        )
-    _guard(len(out), budget)
-    return out
+    return one_step(_ext(params.c, params.big_d), env, term, None, params.budget)[0]
 
 
 def cpx_holds(params: Params, env: Env, t1: Term, t2: Term) -> bool:
@@ -231,137 +154,11 @@ def _step_to_raw(c: int, big_d: int, env: Env, t1: Term, t2: Term) -> bool:
     raise TypeError(f"not a term: {t1!r}")
 
 
-def _pairs(xs: list[Term], ys: list[Term], room: int):
-    """Pairs from size-sorted lists with combined size at most ``room``,
-    plus a flag telling whether any pair was skipped."""
-
-    skipped = False
-    for x in xs:
-        nx = term_size(x)
-        if nx + 1 > room:
-            skipped = True
-            break
-        for y in ys:
-            if nx + term_size(y) > room:
-                skipped = True
-                break
-            yield x, y
-    if skipped or (xs and not ys) or (ys and not xs):
-        yield None, None
-
-
-def _cpx_bounded(
-    c: int, big_d: int, env: Env, term: Term, cap: int, budget: int
-) -> tuple[frozenset[Term], bool]:
-    """Reducts of size at most ``cap`` plus a flag: was anything pruned?
-
-    A False flag certifies the bounded set is the full reduct set, so a
-    traversal built on these sets is exhaustive, not just a cycle scan.
-    """
-
-    key = (c, big_d, env, term, cap)
-    got = _CPX_BOUNDED.get(key)
-    if got is None:
-        out: set[Term] = set()
-        pruned = False
-
-        def sub(e: Env, t: Term) -> list[Term]:
-            nonlocal pruned
-            inner, inner_pruned = _cpx_bounded(c, big_d, e, t, cap, budget)
-            pruned = pruned or inner_pruned
-            return sorted(inner, key=term_size)
-
-        def combine(xs: list[Term], ys: list[Term], room: int):
-            nonlocal pruned
-            for x, y in _pairs(xs, ys, room):
-                if x is None:
-                    pruned = True
-                    return
-                yield x, y
-
-        match term:
-            case Sort(k):
-                out.add(term)
-                if max(big_d - k // c, 0) >= 1:
-                    out.add(Sort(k + c))
-            case Var(i):
-                out.add(term)
-                if i < len(env):
-                    for v2 in sub(env[i + 1 :], env[i][1]):
-                        out.add(lift(0, i + 1, v2))
-            case Bind(kind, side, body):
-                sides = sub(env, side)
-                bodies = sub(env_push(env, kind, side), body)
-                for s2, b2 in combine(sides, bodies, cap - 1):
-                    out.add(Bind(kind, s2, b2))
-                if kind == BindKind.ABBR:
-                    for b2 in bodies:
-                        dropped = delift(0, 1, b2)
-                        if dropped is not None:
-                            out.add(dropped)
-            case Flat(FlatKind.CAST, side, body):
-                sides = sub(env, side)
-                bodies = sub(env, body)
-                for s2, b2 in combine(sides, bodies, cap - 1):
-                    out.add(Flat(FlatKind.CAST, s2, b2))
-                out.update(bodies)
-                out.update(sides)
-            case Flat(FlatKind.APPL, side, body):
-                args = sub(env, side)
-                funs = sub(env, body)
-                for v2, t2 in combine(args, funs, cap - 1):
-                    out.add(Flat(FlatKind.APPL, v2, t2))
-                match body:
-                    case Bind(BindKind.ABST, w, u):
-                        doms = sub(env, w)
-                        us = sub(env_push(env, BindKind.ABST, w), u)
-                        for v2, w2 in combine(args, doms, cap - 3):
-                            room = cap - 2 - term_size(v2) - term_size(w2)
-                            for u2 in us:
-                                if term_size(u2) > room:
-                                    pruned = True
-                                    break
-                                out.add(
-                                    Bind(
-                                        BindKind.ABBR,
-                                        Flat(FlatKind.CAST, w2, v2),
-                                        u2,
-                                    )
-                                )
-                    case Bind(BindKind.ABBR, u, s):
-                        defs = sub(env, u)
-                        ss = sub(env_push(env, BindKind.ABBR, u), s)
-                        for u2, s2 in combine(defs, ss, cap - 3):
-                            room = cap - 2 - term_size(u2) - term_size(s2)
-                            for a2 in args:
-                                if term_size(a2) > room:
-                                    pruned = True
-                                    break
-                                out.add(
-                                    Bind(
-                                        BindKind.ABBR,
-                                        u2,
-                                        Flat(FlatKind.APPL, lift(0, 1, a2), s2),
-                                    )
-                                )
-        _guard(len(out), budget)
-        got = (frozenset(out), pruned)
-        _CPX_BOUNDED[key] = got
-    return got
-
-
 def lpx_reducts(params: Params, env: Env) -> frozenset[Env]:
     """One extended step inside the entries, each in its own outer
     environment, kinds unchanged."""
 
-    choices = []
-    total = 1
-    for i, (kind, side) in enumerate(env):
-        reducts = cpx_reducts(params, env[i + 1 :], side)
-        total *= len(reducts)
-        _guard(total, params.budget)
-        choices.append([(kind, s2) for s2 in reducts])
-    return frozenset(tuple(picked) for picked in product(*choices))
+    return env_reducts(_ext(params.c, params.big_d), env, params.budget)
 
 
 def lpx_holds(params: Params, env1: Env, env2: Env) -> bool:
@@ -438,84 +235,30 @@ def _seq_steps(c: int, big_d: int, env: Env, term: Term):
 CYCLE_SCAN_DEPTH = 4
 
 
-def _cycle_scan(params: Params, env: Env, root: Term) -> Cycle | None:
-    """Look for a short cycle before attempting exhaustive traversal.
-
-    Walks single-redex steps (small fan-out) to a fixed depth and asks, at
-    each node, whether one *parallel* step returns to a node on the current
-    path — decidable by matching, without enumerating reduct sets.  Finding
-    one refutes strong normalization outright; finding none proves nothing.
-    """
-
-    cap = term_size(root) + CYCLE_SCAN_SLACK
-    seen: set[Term] = set()
-    path: list[Term] = []
-
-    def visit(t: Term, depth: int) -> Cycle | None:
-        for idx, back in enumerate(path):
-            if _step_to(params.c, params.big_d, env, t, back):
-                return Cycle(tuple(path[idx:] + [t]))
-        if depth == 0 or t in seen:
-            return None
-        seen.add(t)
-        path.append(t)
-        try:
-            steps = sorted(
-                {
-                    r
-                    for r in _seq_steps(params.c, params.big_d, env, t)
-                    if r != t and term_size(r) <= cap
-                },
-                key=_size_key,
-            )
-            for s in steps:
-                got = visit(s, depth - 1)
-                if got is not None:
-                    return got
-        finally:
-            path.pop()
-        return None
-
-    return visit(root, CYCLE_SCAN_DEPTH)
-
-
 def csx_certify(params: Params, env: Env, term: Term) -> SnReport | Cycle:
     """Certify strong normalization of extended reduction from ``term``.
 
     Explores every term reachable by proper (non-identity) extended steps;
     a finite acyclic graph proves termination of every reduction sequence
-    because branching is finite.  The walk runs in phases: first a cheap
-    bounded-depth cycle scan (any cycle it finds is a genuine cycle), then
-    the parallel-step graph restricted to terms near the root's size
-    (exact when nothing gets pruned), and only then the full parallel
-    graph, which may be far larger or infinite.
+    because branching is finite.  Staged by :func:`lamcalc.traversal.certify`:
+    a scan of single-redex steps to :data:`CYCLE_SCAN_DEPTH`, asking at each
+    term whether one parallel step returns to the path (decided by matching,
+    without enumerating reduct sets), then the parallel-step graph
+    restricted to terms near the root's size, then the full parallel graph.
     """
 
-    got = _cycle_scan(params, env, term)
-    if got is not None:
-        return got
-
-    cap = term_size(term) + CYCLE_SCAN_SLACK
-    clean = True
-
-    def bounded_successors(t: Term) -> list[Term]:
-        nonlocal clean
-        got, pruned = _cpx_bounded(params.c, params.big_d, env, t, cap, params.budget)
-        if pruned:
-            clean = False
-        return sorted((r for r in got if r != t), key=_size_key)
-
-    got = explore(term, bounded_successors, params.budget)
-    if isinstance(got, Cycle):
-        return got
-    if clean:
-        nodes, _, depth = got
-        return SnReport(nodes, depth)
-
-    def successors(t: Term) -> list[Term]:
-        return sorted((r for r in cpx_reducts(params, env, t) if r != t), key=_size_key)
-
-    got = explore(term, successors, params.budget)
+    ext = _ext(params.c, params.big_d)
+    got = certify(
+        term,
+        measure=term_size,
+        key=_size_key,
+        skeleton=lambda t: _seq_steps(params.c, params.big_d, env, t),
+        closes=lambda t, back: _step_to(params.c, params.big_d, env, t, back),
+        depth=CYCLE_SCAN_DEPTH,
+        bounded=lambda t, cap: one_step(ext, env, t, cap, params.budget),
+        full=lambda t: one_step(ext, env, t, None, params.budget)[0],
+        budget=params.budget,
+    )
     if isinstance(got, Cycle):
         return got
     nodes, _, depth = got

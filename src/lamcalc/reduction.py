@@ -11,15 +11,19 @@ redexes are:
 * eps   — drop a type annotation;
 * theta — push an application argument under a definition binder.
 
+``one_step`` states these rules once: plain or extended, full or capped.
 ``lpr_reducts`` applies the same relation inside environment entries.
 ``cpr_full`` is the deterministic maximal development used by the fueled
-normalizer, and ``conv`` compares normal forms.  ``lsubr_holds`` is the
-refinement on environments that preserves reduction.
+normalizer, and ``conv`` compares normal forms.  ``lsubr_holds``, the
+refinement on environments that preserves reduction, runs ``lsub_walk``.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import product
+from math import prod
+from typing import Callable, Optional
 
 from .errors import BudgetExceeded, FuelExhausted
 from .relocation import delift, lift
@@ -33,11 +37,14 @@ from .terms import (
     Term,
     Var,
     env_push,
+    term_size,
 )
 
 __all__ = [
     "DEFAULT_BUDGET",
     "DEFAULT_FUEL",
+    "one_step",
+    "env_reducts",
     "cpr_reducts",
     "cpr_holds",
     "lpr_reducts",
@@ -46,13 +53,20 @@ __all__ = [
     "normalize",
     "cprs_holds",
     "conv",
+    "lsub_walk",
     "lsubr_holds",
 ]
 
 DEFAULT_BUDGET = 100000
 DEFAULT_FUEL = 1000
 
-_REDUCTS: dict[tuple[Env, Term], frozenset[Term]] = {}
+# Extended-rule switch of the one-step core: None for plain reduction, or
+# the sort hierarchy ``(c, big_d)`` of the extended relation.
+Ext = Optional[tuple[int, int]]
+
+_ONE_STEP: dict[tuple[Ext, Env, Term, Optional[int]], frozenset[Term]] = {}
+# Keys of capped entries whose enumeration dropped a reduct over the cap.
+_PRUNED: set[tuple[Ext, Env, Term, Optional[int]]] = set()
 _FULL: dict[tuple[Env, Term], Term] = {}
 _NF: dict[tuple[Env, Term], Term] = {}
 
@@ -62,33 +76,96 @@ def _guard(n: int, budget: int) -> None:
         raise BudgetExceeded(f"reduct set would exceed {budget} elements")
 
 
-def cpr_reducts(env: Env, term: Term, budget: int = DEFAULT_BUDGET) -> frozenset[Term]:
-    """All one-step parallel reducts of ``term`` in ``env`` (incl. itself)."""
+def one_step(
+    ext: Ext, env: Env, term: Term, cap: Optional[int], budget: int
+) -> tuple[frozenset[Term], bool]:
+    """All one-step parallel reducts of ``term`` in ``env`` (incl. itself).
 
-    key = (env, term)
-    got = _REDUCTS.get(key)
+    ``ext`` is None for plain reduction; ``(c, big_d)`` adds the extended
+    rules: the sort step ``*k`` to ``*k+c`` while the degree is positive,
+    delta on declarations, and keeping a cast's annotation.  ``cap`` is
+    None for the full set; an int (at least 1) keeps only the reducts of at
+    most that size, and the flag returned with the set tells whether any
+    reduct was dropped, so a False flag certifies the capped set is the full
+    one.  Uncapped, the flag is always False.
+
+    ``BudgetExceeded`` is raised when the returned set has more than
+    ``budget`` elements, whether or not the memo table already holds it.
+    Uncapped enumeration raises early on any product of sub-reduct sets
+    over the budget; each such product is a lower bound on the final size,
+    so this changes when it raises, not whether.
+    """
+
+    key = (ext, env, term, cap)
+    got = _ONE_STEP.get(key)
     if got is None:
-        got = frozenset(_reducts(env, term, budget))
-        _REDUCTS[key] = got
+        got, pruned = _enumerate(ext, env, term, cap, budget)
+        if pruned:
+            _PRUNED.add(key)
+        _ONE_STEP[key] = got
     _guard(len(got), budget)
-    return got
+    return got, cap is not None and key in _PRUNED
 
 
-def _reducts(env: Env, term: Term, budget: int) -> set[Term]:
+def _enumerate(
+    ext: Ext, env: Env, term: Term, cap: Optional[int], budget: int
+) -> tuple[frozenset[Term], bool]:
     out: set[Term] = set()
+    pruned = False
+
+    def sub(e: Env, t: Term):
+        """Reducts of a part: the memo's set uncapped, a size-sorted list
+        capped.  Capped sets are bounded by the cap; only the final set is
+        held to the budget, so that a hit and a miss raise alike."""
+
+        nonlocal pruned
+        if cap is None:
+            return one_step(ext, e, t, None, budget)[0]
+        got, inner_pruned = one_step(ext, e, t, cap, sys.maxsize)
+        pruned = pruned or inner_pruned
+        return sorted(got, key=term_size)
+
+    def fits(extra: int, *parts):
+        """Tuples, one reduct from each part, whose sizes plus ``extra``
+        constructors fit the cap; uncapped, the whole product.  An empty
+        part needs no flag here: its own enumeration already pruned."""
+
+        nonlocal pruned
+        if cap is None:
+            _guard(prod(map(len, parts)), budget)
+            return product(*parts)
+        got = []
+
+        def pick(chosen: tuple, room: int) -> None:
+            nonlocal pruned
+            later = len(parts) - 1 - len(chosen)  # parts still to pick from
+            for x in parts[len(chosen)]:
+                nx = term_size(x)
+                if nx + later > room:
+                    pruned = True
+                    break
+                if later:
+                    pick(chosen + (x,), room - nx)
+                else:
+                    got.append(chosen + (x,))
+
+        pick((), cap - extra)
+        return got
+
     match term:
-        case Sort(_):
+        case Sort(k):
             out.add(term)
+            if ext is not None and max(ext[1] - k // ext[0], 0) >= 1:
+                out.add(Sort(k + ext[0]))
         case Var(i):
             out.add(term)
-            if i < len(env) and env[i][0] == BindKind.ABBR:
-                for v2 in cpr_reducts(env[i + 1 :], env[i][1], budget):
+            if i < len(env) and (ext is not None or env[i][0] == BindKind.ABBR):
+                for v2 in sub(env[i + 1 :], env[i][1]):
                     out.add(lift(0, i + 1, v2))
         case Bind(kind, side, body):
-            sides = cpr_reducts(env, side, budget)
-            bodies = cpr_reducts(env_push(env, kind, side), body, budget)
-            _guard(len(sides) * len(bodies), budget)
-            for s2, b2 in product(sides, bodies):
+            sides = sub(env, side)
+            bodies = sub(env_push(env, kind, side), body)
+            for s2, b2 in fits(1, sides, bodies):
                 out.add(Bind(kind, s2, b2))
             if kind == BindKind.ABBR:
                 for b2 in bodies:
@@ -96,30 +173,28 @@ def _reducts(env: Env, term: Term, budget: int) -> set[Term]:
                     if dropped is not None:
                         out.add(dropped)
         case Flat(FlatKind.CAST, side, body):
-            sides = cpr_reducts(env, side, budget)
-            bodies = cpr_reducts(env, body, budget)
-            _guard(len(sides) * len(bodies), budget)
-            for s2, b2 in product(sides, bodies):
+            sides = sub(env, side)
+            bodies = sub(env, body)
+            for s2, b2 in fits(1, sides, bodies):
                 out.add(Flat(FlatKind.CAST, s2, b2))
-            out |= bodies
+            out.update(bodies)
+            if ext is not None:
+                out.update(sides)
         case Flat(FlatKind.APPL, side, body):
-            args = cpr_reducts(env, side, budget)
-            funs = cpr_reducts(env, body, budget)
-            _guard(len(args) * len(funs), budget)
-            for v2, t2 in product(args, funs):
+            args = sub(env, side)
+            funs = sub(env, body)
+            for v2, t2 in fits(1, args, funs):
                 out.add(Flat(FlatKind.APPL, v2, t2))
             match body:
                 case Bind(BindKind.ABST, w, u):
-                    doms = cpr_reducts(env, w, budget)
-                    bodies = cpr_reducts(env_push(env, BindKind.ABST, w), u, budget)
-                    _guard(len(args) * len(doms) * len(bodies), budget)
-                    for v2, w2, u2 in product(args, doms, bodies):
+                    doms = sub(env, w)
+                    bodies = sub(env_push(env, BindKind.ABST, w), u)
+                    for v2, w2, u2 in fits(2, args, doms, bodies):
                         out.add(Bind(BindKind.ABBR, Flat(FlatKind.CAST, w2, v2), u2))
                 case Bind(BindKind.ABBR, u, s):
-                    defs = cpr_reducts(env, u, budget)
-                    bodies = cpr_reducts(env_push(env, BindKind.ABBR, u), s, budget)
-                    _guard(len(args) * len(defs) * len(bodies), budget)
-                    for v2, u2, s2 in product(args, defs, bodies):
+                    defs = sub(env, u)
+                    bodies = sub(env_push(env, BindKind.ABBR, u), s)
+                    for u2, s2, v2 in fits(2, defs, bodies, args):
                         out.add(
                             Bind(
                                 BindKind.ABBR,
@@ -127,26 +202,38 @@ def _reducts(env: Env, term: Term, budget: int) -> set[Term]:
                                 Flat(FlatKind.APPL, lift(0, 1, v2), s2),
                             )
                         )
-    _guard(len(out), budget)
-    return out
+    return frozenset(out), pruned
+
+
+def cpr_reducts(env: Env, term: Term, budget: int = DEFAULT_BUDGET) -> frozenset[Term]:
+    """All one-step parallel reducts of ``term`` in ``env`` (incl. itself)."""
+
+    return one_step(None, env, term, None, budget)[0]
 
 
 def cpr_holds(env: Env, t1: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> bool:
     return t2 in cpr_reducts(env, t1, budget)
 
 
-def lpr_reducts(env: Env, budget: int = DEFAULT_BUDGET) -> frozenset[Env]:
-    """One parallel step inside the entries; each entry reduces in its own
-    outer environment, kinds unchanged."""
+def env_reducts(ext: Ext, env: Env, budget: int) -> frozenset[Env]:
+    """One step of the ``ext`` relation inside the entries, each entry in
+    its own outer environment, kinds unchanged: the entrywise product."""
 
     choices = []
     total = 1
     for i, (kind, side) in enumerate(env):
-        reducts = cpr_reducts(env[i + 1 :], side, budget)
+        reducts = one_step(ext, env[i + 1 :], side, None, budget)[0]
         total *= len(reducts)
         _guard(total, budget)
         choices.append([(kind, s2) for s2 in reducts])
     return frozenset(tuple(picked) for picked in product(*choices))
+
+
+def lpr_reducts(env: Env, budget: int = DEFAULT_BUDGET) -> frozenset[Env]:
+    """One parallel step inside the entries; each entry reduces in its own
+    outer environment, kinds unchanged."""
+
+    return env_reducts(None, env, budget)
 
 
 def lpr_holds(env1: Env, env2: Env, budget: int = DEFAULT_BUDGET) -> bool:
@@ -228,7 +315,12 @@ def normalize(env: Env, term: Term, fuel: int = DEFAULT_FUEL) -> Term:
 
 
 def cprs_holds(env: Env, t1: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> bool:
-    """Breadth-first: is ``t2`` reachable from ``t1`` by parallel steps?"""
+    """Breadth-first: is ``t2`` reachable from ``t1`` by parallel steps?
+
+    ``budget`` bounds the set of visited terms.  Each step's reduct set is
+    held to the default budget instead: one term's reducts may outnumber a
+    small visit budget while the target is a single step away.
+    """
 
     if t1 == t2:
         return True
@@ -255,22 +347,35 @@ def conv(env: Env, t1: Term, t2: Term, fuel: int = DEFAULT_FUEL) -> bool:
     return normalize(env, t1, fuel) == normalize(env, t2, fuel)
 
 
+def lsub_walk(
+    env1: Env, env2: Env, cast_ok: Callable[[Env, Env, Term, Term], bool]
+) -> bool:
+    """The walk shared by the environment refinements.
+
+    ``env1`` refines ``env2`` when both have the same length and agree
+    entrywise, except that a declaration ``dec w`` of ``env2`` may stand as
+    a definition ``def (cast w v)`` in ``env1`` when
+    ``cast_ok(rest1, rest2, w, v)`` holds, the rests being the outer
+    entries of each environment.  Entries are visited outermost first.
+    """
+
+    if len(env1) != len(env2):
+        return False
+    for i in reversed(range(len(env1))):
+        (k1, s1), (k2, s2) = env1[i], env2[i]
+        if k1 == k2 and s1 == s2:
+            continue
+        match k1, s1, k2:
+            case BindKind.ABBR, Flat(FlatKind.CAST, w, v), BindKind.ABST if w == s2:
+                if not cast_ok(env1[i + 1 :], env2[i + 1 :], w, v):
+                    return False
+            case _:
+                return False
+    return True
+
+
 def lsubr_holds(env1: Env, env2: Env) -> bool:
     """Refinement for reduction: ``env1`` may turn declarations of ``env2``
     into definitions by annotated terms, and may carry extra outer entries."""
 
-    if not env2:
-        return True
-    if not env1:
-        return False
-    head1, head2 = env1[0], env2[0]
-    if head1 != head2:
-        match head1, head2:
-            case (
-                (BindKind.ABBR, Flat(FlatKind.CAST, w1, _)),
-                (BindKind.ABST, w2),
-            ) if w1 == w2:
-                pass
-            case _:
-                return False
-    return lsubr_holds(env1[1:], env2[1:])
+    return lsub_walk(env1[: len(env2)], env2, lambda *_: True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional
 
+from .reduction import lsub_walk
 from .relocation import lift
 from .terms import (
     Bind,
@@ -110,22 +111,9 @@ def lsubd_holds(params: Params, env1: Env, env2: Env) -> bool:
     ``def (cast w v)`` whose definiens sits one degree below its annotation.
     """
 
-    if not env1 and not env2:
-        return True
-    if not env1 or not env2:
-        return False
-    head1, head2 = env1[0], env2[0]
-    rest1, rest2 = env1[1:], env2[1:]
-    if head1 != head2:
-        match head1, head2:
-            case (
-                (BindKind.ABBR, Flat(FlatKind.CAST, w1, v)),
-                (BindKind.ABST, w2),
-            ) if w1 == w2:
-                dv = da(params, rest1, v)
-                dw = da(params, rest2, w2)
-                if dv is None or dw is None or dv != dw + 1:
-                    return False
-            case _:
-                return False
-    return lsubd_holds(params, rest1, rest2)
+    def cast_ok(rest1: Env, rest2: Env, w: Term, v: Term) -> bool:
+        dv = da(params, rest1, v)
+        dw = da(params, rest2, w)
+        return dv is not None and dw is not None and dv == dw + 1
+
+    return lsub_walk(env1, env2, cast_ok)

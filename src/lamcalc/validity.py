@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .arity import aaa
 from .errors import BudgetExceeded, FuelExhausted
-from .reduction import conv, cpr_reducts, cprs_holds, lpr_reducts, normalize
+from .reduction import conv, cpr_reducts, cprs_holds, lpr_reducts, lsub_walk, normalize
 from .sexpr import print_env, print_term
 from .statics import da, lstas
 from .terms import (
@@ -309,25 +309,15 @@ def lsubsv_holds(params: Params, env1: Env, env2: Env) -> bool:
     valid, the annotation is valid and one degree below the value.
     """
 
-    if not env1 and not env2:
-        return True
-    if not env1 or not env2:
-        return False
-    if not lsubsv_holds(params, env1[1:], env2[1:]):
-        return False
-    (k1, s1), (k2, s2) = env1[0], env2[0]
-    if k1 == k2 and s1 == s2:
-        return True
-    match k1, s1, k2:
-        case BindKind.ABBR, Flat(FlatKind.CAST, w, v), BindKind.ABST if w == s2:
-            l1, l2 = env1[1:], env2[1:]
-            d = da(params, l2, w)
-            if d is None or da(params, l1, v) != d + 1:
-                return False
-            if not shnv_check(params, l1, w, v, d):
-                return False
-            return snv_check(params, l2, w).valid
-    return False
+    def cast_ok(l1: Env, l2: Env, w: Term, v: Term) -> bool:
+        d = da(params, l2, w)
+        if d is None or da(params, l1, v) != d + 1:
+            return False
+        if not shnv_check(params, l1, w, v, d):
+            return False
+        return snv_check(params, l2, w).valid
+
+    return lsub_walk(env1, env2, cast_ok)
 
 
 @dataclass(frozen=True)
