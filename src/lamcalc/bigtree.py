@@ -5,11 +5,14 @@ environments reduced in a way its term can observe.  The union is finitely
 branching, and certifying that no infinite chain leaves a closure amounts
 to exhausting its reachable graph and finding it acyclic — the closure
 analogue of :func:`lamcalc.extended.csx_certify`, run by the same staged
-certifier, :func:`lamcalc.traversal.certify`, over closures.
+certifier, :func:`lamcalc.traversal.certify`, over closures.  Closures
+certified by one call are known to be strongly normalizing in every later
+call under the same sort hierarchy, and capped successor sets are kept.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import product
 
@@ -24,7 +27,7 @@ from .extended import (
     lpx_holds,
     lpx_reducts,
 )
-from .reduction import one_step
+from .reduction import _guard, one_step
 from .relocation import delift
 from .sexpr import print_env, print_term
 from .terms import (
@@ -214,23 +217,50 @@ def _closure_seq_steps(params: Params, c: Closure):
 CLOSURE_SCAN_DEPTH = 6
 
 
+# Closures proved strongly normalizing, one set per sort hierarchy.
+_SN: dict[tuple[int, int], set[Closure]] = {}
+# Capped successor sets by (hierarchy, closure, cap): the set, its pruned
+# flag, the largest reduct set it drew on, and the successor count held
+# to the budget (0 when the enumeration never checked it).
+_BOUNDED: dict[
+    tuple[tuple[int, int], Closure, int], tuple[frozenset[Closure], bool, int, int]
+] = {}
+
+
 def _bounded_successors(
     params: Params, c: Closure, cap: int
-) -> tuple[set[Closure], bool]:
+) -> tuple[frozenset[Closure], bool]:
     """Proper-step successors restricted to closures of measure ``cap``.
 
     Returns the set and whether anything was pruned; when nothing was, the
     set is exactly the full successor set.  Subclosures always survive the
-    cap because their measure shrinks.
+    cap because their measure shrinks.  ``BudgetExceeded`` is raised, hit
+    or miss, when a reduct set drawn on or the successor set has more than
+    ``params.budget`` elements.
     """
 
+    ext = _ext(params.c, params.big_d)
+    key = (ext, c, cap)
+    got = _BOUNDED.get(key)
+    if got is None:
+        got = _BOUNDED[key] = _enumerate_bounded(ext, c, cap)
+    out, pruned, reducts, checked = got
+    _guard(reducts, params.budget)
+    if checked > params.budget:
+        raise BudgetExceeded(f"more than {params.budget} successors")
+    return out, pruned
+
+
+def _enumerate_bounded(
+    ext: tuple[int, int], c: Closure, cap: int
+) -> tuple[frozenset[Closure], bool, int, int]:
     env, term = c
     pruned = False
     out: set[Closure] = set(fqu_children(env, term))
 
-    ext = _ext(params.c, params.big_d)
     base = sum(term_size(s) for _, s in env)
-    tset, tpruned = one_step(ext, env, term, cap - base, params.budget)
+    tset, tpruned = one_step(ext, env, term, cap - base, sys.maxsize)
+    reducts = len(tset)
     pruned |= tpruned
     for t2 in tset:
         if t2 != term:
@@ -241,9 +271,11 @@ def _bounded_successors(
     for i, (kind, side) in enumerate(env):
         # any single entry can use all the room the other entries leave
         ecap = room - (len(env) - 1)
-        sset, spruned = one_step(ext, env[i + 1 :], side, ecap, params.budget)
+        sset, spruned = one_step(ext, env[i + 1 :], side, ecap, sys.maxsize)
+        reducts = max(reducts, len(sset))
         pruned |= spruned
         choices.append([(kind, s2) for s2 in sset])
+    checked = 0
     for picked in product(*choices):
         if sum(term_size(s2) for _, s2 in picked) > room:
             pruned = True
@@ -251,10 +283,9 @@ def _bounded_successors(
         e2 = tuple(picked)
         if not lleq_holds(0, term, env, e2):
             out.add(Closure(e2, term))
-        if len(out) > params.budget:
-            raise BudgetExceeded(f"more than {params.budget} successors")
+        checked = len(out)
 
-    return out, pruned
+    return frozenset(out), pruned, reducts, checked
 
 
 def fsb_certify(params: Params, env: Env, term: Term) -> BigTreeReport | Cycle:
@@ -281,6 +312,7 @@ def fsb_certify(params: Params, env: Env, term: Term) -> BigTreeReport | Cycle:
         bounded=lambda c, cap: _bounded_successors(params, c, cap),
         full=lambda c: fpb_successors(params, *c),
         budget=params.budget,
+        sn=_SN.setdefault(_ext(params.c, params.big_d), set()),
     )
     if isinstance(got, Cycle):
         return got

@@ -234,6 +234,9 @@ def _seq_steps(c: int, big_d: int, env: Env, term: Term):
 # long are probed for a parallel step closing back onto the path.
 CYCLE_SCAN_DEPTH = 4
 
+# Terms proved strongly normalizing, one set per (hierarchy, environment).
+_SN: dict[tuple[tuple[int, int], Env], set[Term]] = {}
+
 
 def csx_certify(params: Params, env: Env, term: Term) -> SnReport | Cycle:
     """Certify strong normalization of extended reduction from ``term``.
@@ -245,6 +248,8 @@ def csx_certify(params: Params, env: Env, term: Term) -> SnReport | Cycle:
     term whether one parallel step returns to the path (decided by matching,
     without enumerating reduct sets), then the parallel-step graph
     restricted to terms near the root's size, then the full parallel graph.
+    Terms certified by one call are known to be strongly normalizing in
+    every later call over the same environment and sort hierarchy.
     """
 
     ext = _ext(params.c, params.big_d)
@@ -258,6 +263,7 @@ def csx_certify(params: Params, env: Env, term: Term) -> SnReport | Cycle:
         bounded=lambda t, cap: one_step(ext, env, t, cap, params.budget),
         full=lambda t: one_step(ext, env, t, None, params.budget)[0],
         budget=params.budget,
+        sn=_SN.setdefault((ext, env), set()),
     )
     if isinstance(got, Cycle):
         return got

@@ -7,7 +7,10 @@ catch cycles, a budget caps the number of distinct nodes, and a second
 pass over the finish order computes the longest path and the edge count.
 
 ``certify`` stages that walk for terms and closures alike: a cheap cycle
-scan, then the graph near the root's measure, then the full graph.
+scan, then the graph near the root's measure, then the full graph.  It
+takes a set of nodes already proved strongly normalizing, skips them in
+the scan, and adds every node of each finite acyclic graph it explores,
+so later calls under the same relation reuse earlier certificates.
 """
 
 from __future__ import annotations
@@ -48,8 +51,14 @@ def explore(
     root: Node,
     successors: Callable[[Node], Iterable[Node]],
     budget: int,
+    *,
+    finished: list[Node] | None = None,
 ) -> Cycle | tuple[int, int, int]:
-    """Walk the graph from ``root``; return a Cycle or (nodes, edges, depth)."""
+    """Walk the graph from ``root``; return a Cycle or (nodes, edges, depth).
+
+    When ``finished`` is given and no cycle is found, every reachable node
+    is appended to it, in finish order.
+    """
 
     succ_of: dict[Node, tuple[Node, ...]] = {}
 
@@ -93,6 +102,8 @@ def explore(
         out = succ_of[n]
         edges += len(out)
         depth[n] = 1 + max(depth[s] for s in out) if out else 0
+    if finished is not None:
+        finished.extend(finish)
     return len(finish), edges, depth[root]
 
 
@@ -107,6 +118,7 @@ def certify(
     bounded: Callable[[Node, int], tuple[Iterable[Node], bool]],
     full: Callable[[Node], Iterable[Node]],
     budget: int,
+    sn: set[Node],
 ) -> Cycle | tuple[int, int, int]:
     """Certify that no infinite chain of proper steps leaves ``root``.
 
@@ -125,6 +137,14 @@ def certify(
        which may be far larger or infinite.
 
     Successors are visited in ``key`` order, so results are deterministic.
+
+    ``sn`` holds nodes known to be strongly normalizing under the same
+    relation; it is read and extended in place.  The scan returns at once
+    at such a node: no cycle passes through it, and every node it reaches
+    is strongly normalizing too, so the first cycle found is the same.
+    When stage 2 prunes nothing, or stage 3 finds no cycle, every node of
+    the explored graph joins ``sn``.  Explorations still walk every node,
+    so the reported counts do not depend on what ``sn`` held.
     """
 
     cap = measure(root) + CYCLE_SCAN_SLACK
@@ -132,6 +152,8 @@ def certify(
     path: list[Node] = []
 
     def scan(n: Node, left: int) -> Cycle | None:
+        if n in sn:
+            return None
         for idx, back in enumerate(path):
             if closes(n, back):
                 return Cycle(tuple(path[idx:] + [n]))
@@ -164,11 +186,14 @@ def certify(
             clean = False
         return sorted((s for s in succ if s != n), key=key)
 
-    got = explore(root, bounded_successors, budget)
-    if isinstance(got, Cycle) or clean:
-        return got
-
     def full_successors(n: Node) -> list[Node]:
         return sorted((s for s in full(n) if s != n), key=key)
 
-    return explore(root, full_successors, budget)
+    finished: list[Node] = []
+    got = explore(root, bounded_successors, budget, finished=finished)
+    if not isinstance(got, Cycle) and not clean:
+        finished = []
+        got = explore(root, full_successors, budget, finished=finished)
+    if not isinstance(got, Cycle):
+        sn.update(finished)
+    return got

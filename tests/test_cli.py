@@ -231,3 +231,14 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"ok": True, "result": "*0"}
+
+
+@pytest.mark.parametrize("depth", [170, 3000])
+def test_deep_term_is_a_resource_error(depth):
+    term = "*0"
+    for _ in range(depth):
+        term = f"(appl {term} (abst *1 #0))"
+    code, payload = invoke(["nf", term])
+    assert code == 3
+    assert payload["ok"] is False and payload["result"] is None
+    assert "error" in payload

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from lamcalc import BudgetExceeded, parse_term
-from lamcalc import reduction
+from lamcalc import BudgetExceeded, clear_caches, parse_term
 from lamcalc.reduction import DEFAULT_BUDGET, one_step
 from lamcalc.terms import term_size
 from lamcalc.universe import enumerate_closures
@@ -19,8 +18,7 @@ SAMPLE = list(enumerate_closures(4, 2, 1))[::97]
 
 
 def _cold() -> None:
-    reduction._ONE_STEP.clear()
-    reduction._PRUNED.clear()
+    clear_caches()
 
 
 def _outcome(ext, env, term, cap, budget):

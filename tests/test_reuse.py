@@ -1,0 +1,130 @@
+"""Certificates and successor sets reused across certifier calls: no
+report, cycle or budget failure may depend on what the memo tables hold
+or on the order of the calls."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+from lamcalc import BudgetExceeded, Params, aaa, clear_caches, parse_term
+from lamcalc import bigtree, extended, memo
+from lamcalc.bigtree import _fpb_holds, fsb_certify
+from lamcalc.extended import Cycle, cpx_holds, csx_certify
+from lamcalc.universe import enumerate_closures
+
+P = Params()
+
+OMEGA = parse_term("(appl (abst *0 (appl #0 #0)) (abst *0 (appl #0 #0)))")
+OMEGA_K = parse_term(
+    "(appl (abst *0 (appl *1 (appl #0 #0))) (abst *0 (appl *1 (appl #0 #0))))"
+)
+
+# Typed closures at the release gate's bounds (size 4, environments of
+# length 2, sorts 0..1): two runs of neighbours, which share subgraphs,
+# and a spread over the rest.
+TYPED = [c for c in enumerate_closures(4, 2, 1) if aaa(*c) is not None]
+SAMPLE = TYPED[1000:1030] + TYPED[5000:5030] + TYPED[::151]
+
+
+def _reports(closures) -> dict:
+    return {c: (fsb_certify(P, *c), csx_certify(P, *c)) for c in closures}
+
+
+def test_reports_do_not_depend_on_call_order():
+    clear_caches()
+    forward = _reports(SAMPLE)
+    assert any(bigtree._SN.values()) and any(extended._SN.values())
+    clear_caches()
+    backward = _reports(reversed(SAMPLE))
+    cold = {}
+    for c in SAMPLE:
+        clear_caches()
+        cold.update(_reports([c]))
+    assert forward == backward == cold
+
+
+def test_loops_found_on_warm_tables():
+    clear_caches()
+    cold = csx_certify(P, (), OMEGA), fsb_certify(P, (), OMEGA_K)
+    clear_caches()
+    _reports(SAMPLE[::4])
+    # the loops' halves are strongly normalizing: their graphs, certified
+    # first, hold the closures and terms around the loops
+    for half in ("(abst *0 (appl #0 #0))", "(abst *0 (appl *1 (appl #0 #0)))"):
+        _reports([((), parse_term(half))])
+    assert (csx_certify(P, (), OMEGA), fsb_certify(P, (), OMEGA_K)) == cold
+
+    got = csx_certify(P, (), OMEGA)
+    assert isinstance(got, Cycle) and len(set(got.path)) == len(got.path) >= 2
+    loop = list(got.path) + [got.path[0]]
+    for a, b in zip(loop, loop[1:]):
+        assert a != b and cpx_holds(P, (), a, b)
+
+    got = fsb_certify(P, (), OMEGA_K)
+    assert isinstance(got, Cycle) and len(set(got.path)) == len(got.path) >= 2
+    loop = list(got.path) + [got.path[0]]
+    for a, b in zip(loop, loop[1:]):
+        assert a != b and _fpb_holds(P, a, b)
+
+
+def _outcome(certify, params, env, term):
+    try:
+        return certify(params, env, term)
+    except BudgetExceeded as e:
+        return ("raised", str(e))
+
+
+@pytest.mark.parametrize(
+    "certify, loop", [(fsb_certify, OMEGA_K), (csx_certify, OMEGA)]
+)
+def test_budget_holds_on_warm_tables(certify, loop):
+    for env, t in SAMPLE[::10] + [((), loop)]:
+        for budget in (1, 2, 5, 12):
+            tiny = Params(budget=budget)
+            clear_caches()
+            cold = _outcome(certify, tiny, env, t)
+            certify(P, env, t)
+            assert _outcome(certify, tiny, env, t) == cold, (env, t, budget)
+    clear_caches()
+    certify(P, (), parse_term("(abst *1 #0)"))
+    with pytest.raises(BudgetExceeded):
+        certify(Params(budget=5), (), parse_term("(abst *1 #0)"))
+
+
+def test_clear_caches_covers_every_memo_table():
+    """Every module-level dict or set that is empty straight after import,
+    and every ``lru_cache`` function, is a listed memo table; all are
+    emptied."""
+
+    probe = """
+import importlib, json, pkgutil, sys
+import lamcalc
+from lamcalc import memo
+for m in pkgutil.iter_modules(lamcalc.__path__):
+    importlib.import_module("lamcalc." + m.name)
+registered = {id(t) for t in memo.TABLES}
+missing = []
+for name, module in sorted(sys.modules.items()):
+    if name.startswith("lamcalc."):
+        for attr, obj in vars(module).items():
+            empty = type(obj) in (dict, set) and not obj
+            lru = callable(getattr(obj, "cache_clear", None))
+            if (empty or lru) and id(obj) not in registered:
+                missing.append(name + "." + attr)
+print(json.dumps(missing))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert json.loads(done.stdout) == []
+
+    fsb_certify(P, (), parse_term("(abst *1 #0)"))
+    csx_certify(P, (), parse_term("(abst *1 #0)"))
+    clear_caches()
+    for table in memo.TABLES:
+        info = getattr(table, "cache_info", None)
+        assert (info().currsize if info else len(table)) == 0
