@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional
 
 from .reduction import lsub_walk
 from .terms import Bind, BindKind, Env, Flat, FlatKind, Sort, Term, Var, env_push
@@ -33,7 +33,9 @@ class Arrow:
         return f"({self.dom} -> {self.cod})"
 
 
-Arity = Union[Base, Arrow]
+# ``|`` rather than ``typing.Union``: typing caches its aliases, which
+# would keep these classes, and their module, alive after a re-import.
+Arity = Base | Arrow
 
 
 def aaa(env: Env, term: Term) -> Optional[Arity]:

@@ -4,17 +4,16 @@ A closure steps to its direct subclosures, to reducts of its term, and to
 environments reduced in a way its term can observe.  The union is finitely
 branching, and certifying that no infinite chain leaves a closure amounts
 to exhausting its reachable graph and finding it acyclic — the closure
-analogue of :func:`lamcalc.extended.csx_certify`, run by the same staged
+analogue of :func:`lamcalc.extended.csx_certify`, run by the same
 certifier, :func:`lamcalc.traversal.certify`, over closures.  Closures
 certified by one call are known to be strongly normalizing in every later
-call under the same sort hierarchy, and capped successor sets are kept.
+call under the same sort hierarchy, and successor sets are kept.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import BudgetExceeded
 from .extended import (
@@ -22,12 +21,10 @@ from .extended import (
     _ext,
     _seq_steps,
     _step_to,
-    cpx_reducts,
     lleq_holds,
     lpx_holds,
-    lpx_reducts,
 )
-from .reduction import _guard, one_step
+from .reduction import _guard, env_reducts, one_step
 from .relocation import delift
 from .sexpr import print_env, print_term
 from .terms import (
@@ -40,7 +37,6 @@ from .terms import (
     Var,
     closure_measure,
     env_push,
-    term_size,
 )
 from .traversal import certify
 from .universe import closure_key
@@ -137,14 +133,25 @@ def fpb_successors(params: Params, env: Env, term: Term) -> frozenset[Closure]:
     or create an infinite chain, so certification may ignore them.
     """
 
+    return _successors(_ext(params.c, params.big_d), env, term, params.budget)[0]
+
+
+def _successors(
+    ext: tuple[int, int], env: Env, term: Term, budget: int
+) -> tuple[frozenset[Closure], int]:
+    """:func:`fpb_successors` and the size of the largest reduct set it
+    drew on, each reduct set held to ``budget``."""
+
     out: set[Closure] = set(fqu_children(env, term))
-    for t2 in cpx_reducts(params, env, term):
+    reducts = one_step(ext, env, term, budget)
+    for t2 in reducts:
         if t2 != term:
             out.add(Closure(env, t2))
-    for e2 in lpx_reducts(params, env):
+    envs = env_reducts(ext, env, budget)
+    for e2 in envs:
         if not lleq_holds(0, term, env, e2):
             out.add(Closure(e2, term))
-    return frozenset(out)
+    return frozenset(out), max(len(reducts), len(envs))
 
 
 def fpbq_holds(params: Params, c1: Closure, c2: Closure) -> bool:
@@ -219,73 +226,26 @@ CLOSURE_SCAN_DEPTH = 6
 
 # Closures proved strongly normalizing, one set per sort hierarchy.
 _SN: dict[tuple[int, int], set[Closure]] = {}
-# Capped successor sets by (hierarchy, closure, cap): the set, its pruned
-# flag, the largest reduct set it drew on, and the successor count held
-# to the budget (0 when the enumeration never checked it).
-_BOUNDED: dict[
-    tuple[tuple[int, int], Closure, int], tuple[frozenset[Closure], bool, int, int]
+# Successor sets by (hierarchy, closure), with the size of the largest
+# reduct set each drew on.
+_SUCCESSORS: dict[
+    tuple[tuple[int, int], Closure], tuple[frozenset[Closure], int]
 ] = {}
 
 
-def _bounded_successors(
-    params: Params, c: Closure, cap: int
-) -> tuple[frozenset[Closure], bool]:
-    """Proper-step successors restricted to closures of measure ``cap``.
-
-    Returns the set and whether anything was pruned; when nothing was, the
-    set is exactly the full successor set.  Subclosures always survive the
-    cap because their measure shrinks.  ``BudgetExceeded`` is raised, hit
-    or miss, when a reduct set drawn on or the successor set has more than
-    ``params.budget`` elements.
-    """
+def _kept_successors(params: Params, c: Closure) -> frozenset[Closure]:
+    """:func:`fpb_successors`, memoized.  ``BudgetExceeded`` is raised, hit
+    or miss, when a reduct set drawn on has more than ``params.budget``
+    elements, so a cold and a warm call raise alike."""
 
     ext = _ext(params.c, params.big_d)
-    key = (ext, c, cap)
-    got = _BOUNDED.get(key)
+    key = (ext, c)
+    got = _SUCCESSORS.get(key)
     if got is None:
-        got = _BOUNDED[key] = _enumerate_bounded(ext, c, cap)
-    out, pruned, reducts, checked = got
+        got = _SUCCESSORS[key] = _successors(ext, *c, sys.maxsize)
+    out, reducts = got
     _guard(reducts, params.budget)
-    if checked > params.budget:
-        raise BudgetExceeded(f"more than {params.budget} successors")
-    return out, pruned
-
-
-def _enumerate_bounded(
-    ext: tuple[int, int], c: Closure, cap: int
-) -> tuple[frozenset[Closure], bool, int, int]:
-    env, term = c
-    pruned = False
-    out: set[Closure] = set(fqu_children(env, term))
-
-    base = sum(term_size(s) for _, s in env)
-    tset, tpruned = one_step(ext, env, term, cap - base, sys.maxsize)
-    reducts = len(tset)
-    pruned |= tpruned
-    for t2 in tset:
-        if t2 != term:
-            out.add(Closure(env, t2))
-
-    room = cap - term_size(term)
-    choices = []
-    for i, (kind, side) in enumerate(env):
-        # any single entry can use all the room the other entries leave
-        ecap = room - (len(env) - 1)
-        sset, spruned = one_step(ext, env[i + 1 :], side, ecap, sys.maxsize)
-        reducts = max(reducts, len(sset))
-        pruned |= spruned
-        choices.append([(kind, s2) for s2 in sset])
-    checked = 0
-    for picked in product(*choices):
-        if sum(term_size(s2) for _, s2 in picked) > room:
-            pruned = True
-            continue
-        e2 = tuple(picked)
-        if not lleq_holds(0, term, env, e2):
-            out.add(Closure(e2, term))
-        checked = len(out)
-
-    return frozenset(out), pruned, reducts, checked
+    return out
 
 
 def fsb_certify(params: Params, env: Env, term: Term) -> BigTreeReport | Cycle:
@@ -293,13 +253,12 @@ def fsb_certify(params: Params, env: Env, term: Term) -> BigTreeReport | Cycle:
 
     Explores every closure reachable by subclosure descent, proper term
     reduction and observed environment reduction; a finite acyclic graph
-    certifies the property because branching is finite.  Staged by
+    certifies the property because branching is finite.  Run by
     :func:`lamcalc.traversal.certify`, like the term-level certifier: a
     scan of single-redex closure steps to :data:`CLOSURE_SCAN_DEPTH`,
     asking at each closure whether one proper step — parallel reduction,
     observed environment reduction, or subclosure descent — returns to the
-    path, then the graph restricted to closures near the root's measure
-    (exact when nothing is pruned), then the unrestricted graph.
+    path, then the graph of :func:`fpb_successors`.
     """
 
     got = certify(
@@ -309,8 +268,7 @@ def fsb_certify(params: Params, env: Env, term: Term) -> BigTreeReport | Cycle:
         skeleton=lambda c: _closure_seq_steps(params, c),
         closes=lambda c, back: _fpb_holds(params, c, back),
         depth=CLOSURE_SCAN_DEPTH,
-        bounded=lambda c, cap: _bounded_successors(params, c, cap),
-        full=lambda c: fpb_successors(params, *c),
+        successors=lambda c: _kept_successors(params, c),
         budget=params.budget,
         sn=_SN.setdefault(_ext(params.c, params.big_d), set()),
     )

@@ -131,6 +131,10 @@ def _build_parser() -> _Parser:
     return top
 
 
+# Built once: parsing leaves the parser unchanged.
+_PARSER = _build_parser()
+
+
 def _dispatch(args: argparse.Namespace) -> tuple[int, object, str | None]:
     params = _params(args)
 
@@ -217,7 +221,7 @@ def run(argv: Sequence[str], out: IO[str] | None = None) -> int:
 
     stream = out if out is not None else sys.stdout
     try:
-        args = _build_parser().parse_args(list(argv))
+        args = _PARSER.parse_args(list(argv))
         code, result, error = _dispatch(args)
     except (_CliError, ParseError) as e:
         code, result, error = _EXIT_INPUT, None, str(e)

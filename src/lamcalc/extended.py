@@ -66,7 +66,7 @@ def _ext(c: int, big_d: int) -> tuple[int, int]:
 def cpx_reducts(params: Params, env: Env, term: Term) -> frozenset[Term]:
     """All one-step extended parallel reducts of ``term`` (incl. itself)."""
 
-    return one_step(_ext(params.c, params.big_d), env, term, None, params.budget)[0]
+    return one_step(_ext(params.c, params.big_d), env, term, params.budget)
 
 
 def cpx_holds(params: Params, env: Env, t1: Term, t2: Term) -> bool:
@@ -243,11 +243,10 @@ def csx_certify(params: Params, env: Env, term: Term) -> SnReport | Cycle:
 
     Explores every term reachable by proper (non-identity) extended steps;
     a finite acyclic graph proves termination of every reduction sequence
-    because branching is finite.  Staged by :func:`lamcalc.traversal.certify`:
+    because branching is finite.  Run by :func:`lamcalc.traversal.certify`:
     a scan of single-redex steps to :data:`CYCLE_SCAN_DEPTH`, asking at each
     term whether one parallel step returns to the path (decided by matching,
-    without enumerating reduct sets), then the parallel-step graph
-    restricted to terms near the root's size, then the full parallel graph.
+    without enumerating reduct sets), then the parallel-step graph.
     Terms certified by one call are known to be strongly normalizing in
     every later call over the same environment and sort hierarchy.
     """
@@ -260,8 +259,7 @@ def csx_certify(params: Params, env: Env, term: Term) -> SnReport | Cycle:
         skeleton=lambda t: _seq_steps(params.c, params.big_d, env, t),
         closes=lambda t, back: _step_to(params.c, params.big_d, env, t, back),
         depth=CYCLE_SCAN_DEPTH,
-        bounded=lambda t, cap: one_step(ext, env, t, cap, params.budget),
-        full=lambda t: one_step(ext, env, t, None, params.budget)[0],
+        successors=lambda t: one_step(ext, env, t, params.budget),
         budget=params.budget,
         sn=_SN.setdefault((ext, env), set()),
     )

@@ -17,7 +17,6 @@ __all__ = ["TABLES", "clear_caches"]
 # Every memo table of the package.
 TABLES = (
     reduction._ONE_STEP,
-    reduction._PRUNED,
     reduction._FULL,
     reduction._NF,
     statics._lstas,
@@ -28,7 +27,7 @@ TABLES = (
     extended._SN,
     extended.frees_holds,
     bigtree._SN,
-    bigtree._BOUNDED,
+    bigtree._SUCCESSORS,
     props._lleq_recursive,
 )
 

@@ -11,7 +11,7 @@ redexes are:
 * eps   — drop a type annotation;
 * theta — push an application argument under a definition binder.
 
-``one_step`` states these rules once: plain or extended, full or capped.
+``one_step`` states these rules once, for plain and extended reduction.
 ``lpr_reducts`` applies the same relation inside environment entries.
 ``cpr_full`` is the deterministic maximal development used by the fueled
 normalizer, and ``conv`` compares normal forms.  ``lsubr_holds``, the
@@ -20,7 +20,6 @@ refinement on environments that preserves reduction, runs ``lsub_walk``.
 
 from __future__ import annotations
 
-import sys
 from itertools import product
 from math import prod
 from typing import Callable, Optional
@@ -37,7 +36,6 @@ from .terms import (
     Term,
     Var,
     env_push,
-    term_size,
 )
 
 __all__ = [
@@ -64,9 +62,7 @@ DEFAULT_FUEL = 1000
 # the sort hierarchy ``(c, big_d)`` of the extended relation.
 Ext = Optional[tuple[int, int]]
 
-_ONE_STEP: dict[tuple[Ext, Env, Term, Optional[int]], frozenset[Term]] = {}
-# Keys of capped entries whose enumeration dropped a reduct over the cap.
-_PRUNED: set[tuple[Ext, Env, Term, Optional[int]]] = set()
+_ONE_STEP: dict[tuple[Ext, Env, Term], frozenset[Term]] = {}
 _FULL: dict[tuple[Env, Term], Term] = {}
 _NF: dict[tuple[Env, Term], Term] = {}
 
@@ -76,81 +72,40 @@ def _guard(n: int, budget: int) -> None:
         raise BudgetExceeded(f"reduct set would exceed {budget} elements")
 
 
-def one_step(
-    ext: Ext, env: Env, term: Term, cap: Optional[int], budget: int
-) -> tuple[frozenset[Term], bool]:
+def one_step(ext: Ext, env: Env, term: Term, budget: int) -> frozenset[Term]:
     """All one-step parallel reducts of ``term`` in ``env`` (incl. itself).
 
     ``ext`` is None for plain reduction; ``(c, big_d)`` adds the extended
     rules: the sort step ``*k`` to ``*k+c`` while the degree is positive,
-    delta on declarations, and keeping a cast's annotation.  ``cap`` is
-    None for the full set; an int (at least 1) keeps only the reducts of at
-    most that size, and the flag returned with the set tells whether any
-    reduct was dropped, so a False flag certifies the capped set is the full
-    one.  Uncapped, the flag is always False.
+    delta on declarations, and keeping a cast's annotation.
 
     ``BudgetExceeded`` is raised when the returned set has more than
     ``budget`` elements, whether or not the memo table already holds it.
-    Uncapped enumeration raises early on any product of sub-reduct sets
-    over the budget; each such product is a lower bound on the final size,
-    so this changes when it raises, not whether.
+    Enumeration raises early on any product of sub-reduct sets over the
+    budget; each such product is a lower bound on the final size, so this
+    changes when it raises, not whether.
     """
 
-    key = (ext, env, term, cap)
+    key = (ext, env, term)
     got = _ONE_STEP.get(key)
     if got is None:
-        got, pruned = _enumerate(ext, env, term, cap, budget)
-        if pruned:
-            _PRUNED.add(key)
-        _ONE_STEP[key] = got
+        got = _ONE_STEP[key] = _enumerate(ext, env, term, budget)
     _guard(len(got), budget)
-    return got, cap is not None and key in _PRUNED
+    return got
 
 
-def _enumerate(
-    ext: Ext, env: Env, term: Term, cap: Optional[int], budget: int
-) -> tuple[frozenset[Term], bool]:
+def _enumerate(ext: Ext, env: Env, term: Term, budget: int) -> frozenset[Term]:
     out: set[Term] = set()
-    pruned = False
 
-    def sub(e: Env, t: Term):
-        """Reducts of a part: the memo's set uncapped, a size-sorted list
-        capped.  Capped sets are bounded by the cap; only the final set is
-        held to the budget, so that a hit and a miss raise alike."""
+    def sub(e: Env, t: Term) -> frozenset[Term]:
+        return one_step(ext, e, t, budget)
 
-        nonlocal pruned
-        if cap is None:
-            return one_step(ext, e, t, None, budget)[0]
-        got, inner_pruned = one_step(ext, e, t, cap, sys.maxsize)
-        pruned = pruned or inner_pruned
-        return sorted(got, key=term_size)
+    def choose(*parts):
+        """Every tuple of one reduct from each part; their number is
+        held to the budget."""
 
-    def fits(extra: int, *parts):
-        """Tuples, one reduct from each part, whose sizes plus ``extra``
-        constructors fit the cap; uncapped, the whole product.  An empty
-        part needs no flag here: its own enumeration already pruned."""
-
-        nonlocal pruned
-        if cap is None:
-            _guard(prod(map(len, parts)), budget)
-            return product(*parts)
-        got = []
-
-        def pick(chosen: tuple, room: int) -> None:
-            nonlocal pruned
-            later = len(parts) - 1 - len(chosen)  # parts still to pick from
-            for x in parts[len(chosen)]:
-                nx = term_size(x)
-                if nx + later > room:
-                    pruned = True
-                    break
-                if later:
-                    pick(chosen + (x,), room - nx)
-                else:
-                    got.append(chosen + (x,))
-
-        pick((), cap - extra)
-        return got
+        _guard(prod(map(len, parts)), budget)
+        return product(*parts)
 
     match term:
         case Sort(k):
@@ -165,7 +120,7 @@ def _enumerate(
         case Bind(kind, side, body):
             sides = sub(env, side)
             bodies = sub(env_push(env, kind, side), body)
-            for s2, b2 in fits(1, sides, bodies):
+            for s2, b2 in choose(sides, bodies):
                 out.add(Bind(kind, s2, b2))
             if kind == BindKind.ABBR:
                 for b2 in bodies:
@@ -175,7 +130,7 @@ def _enumerate(
         case Flat(FlatKind.CAST, side, body):
             sides = sub(env, side)
             bodies = sub(env, body)
-            for s2, b2 in fits(1, sides, bodies):
+            for s2, b2 in choose(sides, bodies):
                 out.add(Flat(FlatKind.CAST, s2, b2))
             out.update(bodies)
             if ext is not None:
@@ -183,18 +138,18 @@ def _enumerate(
         case Flat(FlatKind.APPL, side, body):
             args = sub(env, side)
             funs = sub(env, body)
-            for v2, t2 in fits(1, args, funs):
+            for v2, t2 in choose(args, funs):
                 out.add(Flat(FlatKind.APPL, v2, t2))
             match body:
                 case Bind(BindKind.ABST, w, u):
                     doms = sub(env, w)
                     bodies = sub(env_push(env, BindKind.ABST, w), u)
-                    for v2, w2, u2 in fits(2, args, doms, bodies):
+                    for v2, w2, u2 in choose(args, doms, bodies):
                         out.add(Bind(BindKind.ABBR, Flat(FlatKind.CAST, w2, v2), u2))
                 case Bind(BindKind.ABBR, u, s):
                     defs = sub(env, u)
                     bodies = sub(env_push(env, BindKind.ABBR, u), s)
-                    for u2, s2, v2 in fits(2, defs, bodies, args):
+                    for u2, s2, v2 in choose(defs, bodies, args):
                         out.add(
                             Bind(
                                 BindKind.ABBR,
@@ -202,13 +157,13 @@ def _enumerate(
                                 Flat(FlatKind.APPL, lift(0, 1, v2), s2),
                             )
                         )
-    return frozenset(out), pruned
+    return frozenset(out)
 
 
 def cpr_reducts(env: Env, term: Term, budget: int = DEFAULT_BUDGET) -> frozenset[Term]:
     """All one-step parallel reducts of ``term`` in ``env`` (incl. itself)."""
 
-    return one_step(None, env, term, None, budget)[0]
+    return one_step(None, env, term, budget)
 
 
 def cpr_holds(env: Env, t1: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> bool:
@@ -222,7 +177,7 @@ def env_reducts(ext: Ext, env: Env, budget: int) -> frozenset[Env]:
     choices = []
     total = 1
     for i, (kind, side) in enumerate(env):
-        reducts = one_step(ext, env[i + 1 :], side, None, budget)[0]
+        reducts = one_step(ext, env[i + 1 :], side, budget)
         total *= len(reducts)
         _guard(total, budget)
         choices.append([(kind, s2) for s2 in reducts])

@@ -159,13 +159,6 @@ class Params:
         if self.big_d < 0 or self.fuel < 0 or self.budget < 0:
             raise ValueError("big_d, fuel and budget must be naturals")
 
-    def next_sort(self, k: int) -> int:
-        return k + self.c
-
-    def deg_sort(self, k: int) -> int:
-        d = self.big_d - k // self.c
-        return d if d > 0 else 0
-
 
 def env_push(env: Env, kind: BindKind, side: Term) -> Env:
     """Extend ``env`` with one innermost entry (the new ``#0``)."""

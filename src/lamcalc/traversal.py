@@ -1,4 +1,4 @@
-"""Exhaustive graph exploration with cycle detection; staged certificates.
+"""Exhaustive graph exploration with cycle detection, and the certifier.
 
 Strong normalization of a finitely-branching relation is equivalent to the
 reachable successor graph being finite and acyclic, so the certifiers walk
@@ -6,11 +6,11 @@ that graph: a depth-first search keeps the current path (grey nodes) to
 catch cycles, a budget caps the number of distinct nodes, and a second
 pass over the finish order computes the longest path and the edge count.
 
-``certify`` stages that walk for terms and closures alike: a cheap cycle
-scan, then the graph near the root's measure, then the full graph.  It
-takes a set of nodes already proved strongly normalizing, skips them in
-the scan, and adds every node of each finite acyclic graph it explores,
-so later calls under the same relation reuse earlier certificates.
+``certify`` runs that walk for terms and closures alike, after a cheap
+scan for a cycle near the root.  It takes a set of nodes already proved
+strongly normalizing, skips them in the scan, and adds every node of each
+finite acyclic graph it explores, so later calls under the same relation
+reuse earlier certificates.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ __all__ = ["Cycle", "SnReport", "certify", "explore"]
 
 Node = TypeVar("Node", bound=Hashable)
 
-# Slack added to the root's measure when scanning for small cycles.
-# Parallel reduct sets grow multiplicatively with term size, so certifiers
-# look for a cycle among nodes near the root's measure before attempting
-# the (often much larger, possibly infinite) full reachable graph.
+# Slack added to the root's measure when scanning for small cycles; it
+# bounds the scan only.  Parallel reduct sets grow multiplicatively with
+# term size, so certifiers look for a cycle among nodes near the root's
+# measure before exploring the (often much larger, possibly infinite)
+# reachable graph.
 CYCLE_SCAN_SLACK = 8
 
 
@@ -115,8 +116,7 @@ def certify(
     skeleton: Callable[[Node], Iterable[Node]],
     closes: Callable[[Node, Node], bool],
     depth: int,
-    bounded: Callable[[Node, int], tuple[Iterable[Node], bool]],
-    full: Callable[[Node], Iterable[Node]],
+    successors: Callable[[Node], Iterable[Node]],
     budget: int,
     sn: set[Node],
 ) -> Cycle | tuple[int, int, int]:
@@ -124,17 +124,14 @@ def certify(
 
     Returns a Cycle or, like :func:`explore`, (nodes, edges, depth) of the
     finite acyclic reachable graph.  Self-steps are never proper steps and
-    are dropped from every successor set.  Three stages, in order:
+    are dropped from every successor set.  Two stages, in order:
 
     1. Walk the single-redex ``skeleton`` steps to ``depth``, among nodes
        of measure at most the root's plus :data:`CYCLE_SCAN_SLACK`, asking
        at each node whether one proper step ``closes`` back onto a node on
        the current path.  A hit is a genuine cycle; a miss proves nothing.
-    2. Explore the graph of ``bounded(node, cap)`` successors, which drop
-       nodes of measure over the same cap and flag when they did.  Its
-       cycles are genuine, and when nothing was pruned its report is exact.
-    3. Only when stage 2 pruned something, explore the ``full`` graph,
-       which may be far larger or infinite.
+    2. Explore the graph of ``successors``.  Its report is exact; when
+       the graph is too large or infinite, the ``budget`` stops the walk.
 
     Successors are visited in ``key`` order, so results are deterministic.
 
@@ -142,9 +139,9 @@ def certify(
     relation; it is read and extended in place.  The scan returns at once
     at such a node: no cycle passes through it, and every node it reaches
     is strongly normalizing too, so the first cycle found is the same.
-    When stage 2 prunes nothing, or stage 3 finds no cycle, every node of
-    the explored graph joins ``sn``.  Explorations still walk every node,
-    so the reported counts do not depend on what ``sn`` held.
+    When the exploration finds no cycle, every node of its graph joins
+    ``sn``.  The exploration still walks every node, so the reported
+    counts do not depend on what ``sn`` held.
     """
 
     cap = measure(root) + CYCLE_SCAN_SLACK
@@ -177,23 +174,11 @@ def certify(
     if got is not None:
         return got
 
-    clean = True
-
-    def bounded_successors(n: Node) -> list[Node]:
-        nonlocal clean
-        succ, pruned = bounded(n, cap)
-        if pruned:
-            clean = False
-        return sorted((s for s in succ if s != n), key=key)
-
-    def full_successors(n: Node) -> list[Node]:
-        return sorted((s for s in full(n) if s != n), key=key)
+    def proper(n: Node) -> list[Node]:
+        return sorted((s for s in successors(n) if s != n), key=key)
 
     finished: list[Node] = []
-    got = explore(root, bounded_successors, budget, finished=finished)
-    if not isinstance(got, Cycle) and not clean:
-        finished = []
-        got = explore(root, full_successors, budget, finished=finished)
+    got = explore(root, proper, budget, finished=finished)
     if not isinstance(got, Cycle):
         sn.update(finished)
     return got

@@ -128,3 +128,30 @@ print(json.dumps(missing))
     for table in memo.TABLES:
         info = getattr(table, "cache_info", None)
         assert (info().currsize if info else len(table)) == 0
+
+
+def test_reimport_frees_the_previous_import():
+    """After twenty fresh imports and a collection, no function or class
+    of an earlier import is still alive."""
+
+    probe = """
+import gc, importlib, json, sys, weakref
+old = []
+for _ in range(20):
+    for name in [m for m in sys.modules if m == "lamcalc" or m.startswith("lamcalc.")]:
+        del sys.modules[name]
+    importlib.import_module("lamcalc")
+    arity, reduction, relocation = (
+        importlib.import_module("lamcalc." + n)
+        for n in ("arity", "reduction", "relocation")
+    )
+    kept = (reduction.normalize, arity.aaa, relocation.lift, arity.Base)
+    old.append([weakref.ref(x) for x in kept])
+    del arity, reduction, relocation, kept
+gc.collect()
+print(json.dumps([r().__qualname__ for refs in old[:-1] for r in refs if r()]))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert json.loads(done.stdout) == []
