@@ -8,6 +8,11 @@ variable references) and four binary constructors, grouped into two shapes:
 * flat items (``Flat``): application ``appl v t`` (``t`` applied to the
   argument ``v``) and type annotation ``cast w t``.
 
+Each term is an immutable tagged tuple, ``(tag, *fields)`` with tags 0-3
+for ``Sort``, ``Var``, ``Bind`` and ``Flat``; see :class:`Term`.  A term is
+therefore hashed, compared and ordered by the tuple machinery, and it is
+its own sort key.
+
 Environments are stacks of named-free entries, one per binder that has been
 walked under.  Entry 0 is the innermost one, i.e. the entry that ``#0``
 refers to.  The concrete text syntax lists entries outermost first; see
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 __all__ = [
@@ -61,27 +67,56 @@ class FlatKind(enum.IntEnum):
     CAST = 1
 
 
-class Term:
-    """Base class for the four term constructors."""
+class Term(tuple):
+    """Base class for the four term constructors.
+
+    A term is a tuple: an int tag naming its constructor, then the
+    constructor's fields.  ``Sort(k)`` is ``(0, k)``, ``Var(i)`` is
+    ``(1, i)``, ``Bind(kind, side, body)`` is ``(2, kind, side, body)`` and
+    ``Flat(kind, side, body)`` is ``(3, kind, side, body)``.
+
+    Hashing, equality and ordering are the tuple's own, so they run in C.
+    The tag keeps constructors with equal fields apart, and tuple order is
+    the total order on terms (see :func:`lamcalc.universe.term_key`).
+    Fields are read-only properties named by ``__match_args__``, so class
+    patterns match positionally and by keyword.
+    """
 
     __slots__ = ()
 
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle rebuild a term from its fields, not its tuple
+        return tuple(self[1:])
 
-@dataclass(frozen=True)
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__match_args__, self[1:])
+        )
+        return f"{type(self).__name__}({fields})"
+
+
 class Sort(Term):
     """Sort (universe) constant ``*k``."""
 
-    k: int
+    __slots__ = ()
+    __match_args__ = ("k",)
+    k = property(itemgetter(1))
+
+    def __new__(cls, k: int) -> Sort:
+        return tuple.__new__(cls, (0, k))
 
 
-@dataclass(frozen=True)
 class Var(Term):
     """Variable reference ``#i`` by de Bruijn depth."""
 
-    i: int
+    __slots__ = ()
+    __match_args__ = ("i",)
+    i = property(itemgetter(1))
+
+    def __new__(cls, i: int) -> Var:
+        return tuple.__new__(cls, (1, i))
 
 
-@dataclass(frozen=True)
 class Bind(Term):
     """Binder: ``abbr side body`` or ``abst side body``.
 
@@ -89,12 +124,16 @@ class Bind(Term):
     ABST); ``body`` lives under one more binder.
     """
 
-    kind: BindKind
-    side: Term
-    body: Term
+    __slots__ = ()
+    __match_args__ = ("kind", "side", "body")
+    kind = property(itemgetter(1))
+    side = property(itemgetter(2))
+    body = property(itemgetter(3))
+
+    def __new__(cls, kind: BindKind, side: Term, body: Term) -> Bind:
+        return tuple.__new__(cls, (2, kind, side, body))
 
 
-@dataclass(frozen=True)
 class Flat(Term):
     """Flat item: ``appl side body`` or ``cast side body``.
 
@@ -102,9 +141,14 @@ class Flat(Term):
     for CAST the ``side`` is the annotation and ``body`` the subject.
     """
 
-    kind: FlatKind
-    side: Term
-    body: Term
+    __slots__ = ()
+    __match_args__ = ("kind", "side", "body")
+    kind = property(itemgetter(1))
+    side = property(itemgetter(2))
+    body = property(itemgetter(3))
+
+    def __new__(cls, kind: FlatKind, side: Term, body: Term) -> Flat:
+        return tuple.__new__(cls, (3, kind, side, body))
 
 
 def abbr(v: Term, t: Term) -> Bind:

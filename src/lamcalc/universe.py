@@ -22,29 +22,31 @@ __all__ = [
 ]
 
 
-def term_key(t: Term) -> tuple:
-    """Total-order key on terms (atoms first, then by kind and children)."""
+def term_key(t: Term) -> Term:
+    """Total-order key on terms: the term itself.
 
-    match t:
-        case Sort(k):
-            return (0, k)
-        case Var(i):
-            return (1, i)
-        case Bind(kind, side, body):
-            return (2, int(kind), term_key(side), term_key(body))
-        case Flat(kind, side, body):
-            return (3, int(kind), term_key(side), term_key(body))
-    raise TypeError(f"not a term: {t!r}")
+    A term is a tuple that starts with its constructor tag (atoms first,
+    then binders, then flat items), followed by its fields, so tuple order
+    compares by constructor, then kind, then children.
+    """
+
+    return t
 
 
 def env_key(env: Env) -> tuple:
-    """Total-order key on environments (by length, then entrywise)."""
+    """Total-order key on environments (by length, then entrywise).
 
-    return (len(env), tuple((int(kind), term_key(side)) for kind, side in env))
+    An entry is a ``(kind, side)`` tuple of an int-valued kind and a term,
+    so the environment tuple orders its entries by itself.
+    """
+
+    return (len(env), env)
 
 
 def closure_key(c: Closure) -> tuple:
-    return (*env_key(c.env), term_key(c.term))
+    """Total-order key on closures: the environment's key, then the term."""
+
+    return (len(c.env), c.env, c.term)
 
 
 def _atoms(max_sort: int, max_ref: int) -> list[Term]:

@@ -1,0 +1,196 @@
+"""Terms as tagged tuples: order, equality, hashing and representation.
+
+The order checks compare against an independent oracle: the recursive
+key that built the term order by hand before terms became tuples.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+import pickle
+import random
+import subprocess
+import sys
+
+import pytest
+
+from lamcalc import (
+    Bind,
+    BindKind,
+    Flat,
+    FlatKind,
+    Sort,
+    Var,
+    abst,
+    appl,
+    parse_term,
+)
+from lamcalc.universe import (
+    closure_key,
+    enumerate_closures,
+    enumerate_envs,
+    enumerate_terms,
+    env_key,
+)
+
+
+def oracle_term_key(t) -> tuple:
+    match t:
+        case Sort(k):
+            return (0, k)
+        case Var(i):
+            return (1, i)
+        case Bind(kind, side, body):
+            return (2, int(kind), oracle_term_key(side), oracle_term_key(body))
+        case Flat(kind, side, body):
+            return (3, int(kind), oracle_term_key(side), oracle_term_key(body))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def oracle_env_key(env) -> tuple:
+    return (len(env), tuple((int(kind), oracle_term_key(side)) for kind, side in env))
+
+
+def oracle_closure_key(c) -> tuple:
+    return (*oracle_env_key(c.env), oracle_term_key(c.term))
+
+
+def shuffled(items: list, seed: int = 7) -> list:
+    out = list(items)
+    random.Random(seed).shuffle(out)
+    return out
+
+
+# ------------------------------------------------------------------- order
+
+
+@pytest.mark.parametrize("max_size", [4, 5])
+def test_term_order_matches_oracle(max_size):
+    every = enumerate_terms(max_size, 1, 6)
+    ts = shuffled(every)
+    assert sorted(ts) == sorted(ts, key=oracle_term_key) == every
+
+
+def test_env_order_matches_oracle():
+    envs = shuffled(enumerate_envs(2, 2, 1, 6))
+    assert len(envs) == 273
+    assert sorted(envs, key=env_key) == sorted(envs, key=oracle_env_key)
+
+
+def test_closure_order_matches_oracle():
+    closures = random.Random(2).sample(list(enumerate_closures(4, 2, 1)), 5000)
+    assert sorted(closures, key=closure_key) == sorted(closures, key=oracle_closure_key)
+
+
+# ------------------------------------------------------- equality and hash
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_atoms_differ_across_constructors(i):
+    assert Sort(i) != Var(i)
+    assert Var(i) != Sort(i)
+
+
+@pytest.mark.parametrize("value", [0, 1])
+def test_binders_differ_from_flat_items(value):
+    side, body = Sort(0), Var(0)
+    b = Bind(BindKind(value), side, body)
+    f = Flat(FlatKind(value), side, body)
+    assert BindKind(value) == FlatKind(value)  # equal kind values ...
+    assert b != f and f != b  # ... yet never equal terms
+    assert len({b, f}) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["*0", "#3", "(abst *1 #0)", "(appl (abst *0 (appl #0 #0)) (abst *0 (appl #0 #0)))"],
+)
+def test_equal_terms_built_twice_hash_equal(text):
+    t1, t2 = parse_term(text), parse_term(text)
+    assert t1 is not t2
+    assert t1 == t2 and hash(t1) == hash(t2)
+    rebuilt = type(t1)(*t1[1:])
+    assert rebuilt == t1 and hash(rebuilt) == hash(t1)
+
+
+def test_copy_and_pickle_rebuild_the_same_term():
+    t = parse_term("(abbr (cast *0 #1) (appl #0 (abst *1 #0)))")
+    for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert clone == t and type(clone) is type(t)
+        assert clone.body.body.body == Var(0)
+
+
+# -------------------------------------------------------------- structure
+
+
+@pytest.mark.parametrize(
+    "term, fields",
+    [
+        (Sort(1), ("k",)),
+        (Var(2), ("i",)),
+        (Bind(BindKind.ABST, Sort(0), Var(0)), ("kind", "side", "body")),
+        (Flat(FlatKind.CAST, Sort(0), Var(0)), ("kind", "side", "body")),
+    ],
+)
+def test_fields_are_read_only(term, fields):
+    assert term.__match_args__ == fields
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(term, name, getattr(term, name))
+    with pytest.raises(AttributeError):
+        term.extra = 0
+
+
+def test_class_patterns_match_positionally_and_by_keyword():
+    t = appl(Var(0), abst(Sort(1), Var(0)))
+    match t:
+        case Flat(FlatKind.APPL, Var(i), Bind(kind, Sort(k), body)):
+            assert (i, kind, k, body) == (0, BindKind.ABST, 1, Var(0))
+        case _:
+            pytest.fail("positional pattern did not match")
+    match t:
+        case Flat(kind=FlatKind.APPL, side=Var(i=i), body=Bind(kind=kind, side=Sort(k=k))):
+            assert (i, kind, k) == (0, BindKind.ABST, 1)
+        case _:
+            pytest.fail("keyword pattern did not match")
+    match t:
+        case Bind() | Sort() | Var():
+            pytest.fail("matched the wrong constructor")
+        case Flat(kind=FlatKind.CAST):
+            pytest.fail("matched the wrong kind")
+
+
+def test_repr_of_each_constructor():
+    assert repr(Sort(0)) == "Sort(k=0)"
+    assert repr(Var(3)) == "Var(i=3)"
+    assert repr(Bind(BindKind.ABBR, Sort(1), Var(0))) == (
+        "Bind(kind=<BindKind.ABBR: 0>, side=Sort(k=1), body=Var(i=0))"
+    )
+    assert repr(Flat(FlatKind.APPL, Var(1), Sort(0))) == (
+        "Flat(kind=<FlatKind.APPL: 0>, side=Var(i=1), body=Sort(k=0))"
+    )
+
+
+# ------------------------------------------------------------- deep terms
+
+
+def test_deep_term_hashes_at_the_default_recursion_limit():
+    """A chain nested 10,000 deep, built with the constructors, can be
+    hashed and put in a set, in a fresh process at the default limit."""
+
+    probe = """
+import json, sys
+from lamcalc import Sort, Var, abst, appl
+def chain(n):
+    t = abst(Sort(1), Var(0))
+    for _ in range(n):
+        t = appl(Sort(0), t)
+    return t
+t = chain(10_000)
+print(json.dumps([sys.getrecursionlimit(), hash(t) == hash(chain(10_000)), t in {t}]))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert json.loads(done.stdout) == [1000, True, True]
