@@ -21,6 +21,7 @@ from .extended import (
     _ext,
     _seq_steps,
     _step_to,
+    frees_holds,
     lleq_holds,
     lpx_holds,
 )
@@ -75,7 +76,10 @@ def fqu_children(env: Env, term: Term) -> frozenset[Closure]:
     innermost reference, and every closure obtained by dropping a prefix
     of entries the term does not mention.  Each child has a strictly
     smaller :func:`closure_measure`, which is what recursion over
-    subclosures rests on.
+    subclosures rests on.  The drops stop at the first entry the term
+    mentions, since every wider prefix holds it too.  To ask whether one
+    closure is a child of another, :func:`_fqu_holds` matches instead of
+    building this set.
     """
 
     out: set[Closure] = set()
@@ -88,17 +92,42 @@ def fqu_children(env: Env, term: Term) -> frozenset[Closure]:
         case Flat(_, side, body):
             out.add(Closure(env, side))
             out.add(Closure(env, body))
-    for m in range(len(env)):
-        dropped = delift(0, m + 1, term)
-        if dropped is not None:
-            out.add(Closure(env[m + 1 :], dropped))
+    for m in range(1, len(env) + 1):
+        dropped = delift(0, m, term)
+        if dropped is None:
+            break
+        out.add(Closure(env[m:], dropped))
     return frozenset(out)
+
+
+def _fqu_holds(c1: Closure, c2: Closure) -> bool:
+    """Is ``c2`` a direct subclosure of ``c1``?  Membership in
+    :func:`fqu_children`, decided by matching ``c2`` against each rule
+    rather than building the set: a drop child must keep the last
+    ``len(c2.env)`` entries, and its term must be the term delifted by the
+    number dropped."""
+
+    (env1, t1), (env2, t2) = c1, c2
+    match t1:
+        case Var(0) if env1:
+            if t2 == env1[0][1] and env2 == env1[1:]:
+                return True
+        case Bind(kind, side, body):
+            if t2 == side and env2 == env1:
+                return True
+            if t2 == body and env2 == env_push(env1, kind, side):
+                return True
+        case Flat(_, side, body):
+            if (t2 == side or t2 == body) and env2 == env1:
+                return True
+    m = len(env1) - len(env2)
+    return m > 0 and env2 == env1[m:] and delift(0, m, t1) == t2
 
 
 def fquq_holds(c1: Closure, c2: Closure) -> bool:
     """Direct subclosure or equality."""
 
-    return c1 == c2 or c2 in fqu_children(*c1)
+    return c1 == c2 or _fqu_holds(c1, c2)
 
 
 def fqus_holds(c1: Closure, c2: Closure, budget: int) -> bool:
@@ -148,8 +177,11 @@ def _successors(
         if t2 != term:
             out.add(Closure(env, t2))
     envs = env_reducts(ext, env, budget)
+    # An environment reduct keeps the length, so it breaks lazy
+    # equivalence exactly when it changes an entry the term refers to.
+    refs = [i for i in range(len(env)) if frees_holds(i, 0, env, term)]
     for e2 in envs:
-        if not lleq_holds(0, term, env, e2):
+        if any(e2[i] != env[i] for i in refs):
             out.add(Closure(e2, term))
     return frozenset(out), max(len(reducts), len(envs))
 
@@ -175,7 +207,12 @@ def fpbq_holds(params: Params, c1: Closure, c2: Closure) -> bool:
 
 def _fpb_holds(params: Params, c1: Closure, c2: Closure) -> bool:
     """One proper step: like :func:`fpbq_holds` minus every reflexive or
-    equivalence-only case, matching :func:`fpb_successors` membership."""
+    equivalence-only case, matching :func:`fpb_successors` membership.
+
+    Every rule is decided by matching ``c2`` against ``c1`` — a term step
+    by :func:`lamcalc.extended._step_to`, a subclosure by
+    :func:`_fqu_holds` — so no successor set is built.
+    """
 
     (env1, t1), (env2, t2) = c1, c2
     if env1 == env2 and t1 != t2 and _step_to(params.c, params.big_d, env1, t1, t2):
@@ -186,7 +223,7 @@ def _fpb_holds(params: Params, c1: Closure, c2: Closure) -> bool:
         and lpx_holds(params, env1, env2)
     ):
         return True
-    return c2 in fqu_children(env1, t1)
+    return _fqu_holds(c1, c2)
 
 
 def _closure_sort_key(c: Closure) -> tuple:
@@ -208,12 +245,13 @@ def _closure_seq_steps(params: Params, c: Closure):
         if t2 != term:
             yield Closure(env, t2)
     for i, (kind, side) in enumerate(env):
+        # a step on one entry breaks lazy equivalence exactly when the
+        # term refers to that entry
+        if not frees_holds(i, 0, env, term):
+            continue
         for s2 in _seq_steps(params.c, params.big_d, env[i + 1 :], side):
-            if s2 == side:
-                continue
-            e2 = env[:i] + ((kind, s2),) + env[i + 1 :]
-            if not lleq_holds(0, term, env, e2):
-                yield Closure(e2, term)
+            if s2 != side:
+                yield Closure(env[:i] + ((kind, s2),) + env[i + 1 :], term)
 
 
 # The closure-level scan must run deeper than the term-level one: closing

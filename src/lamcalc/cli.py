@@ -85,6 +85,18 @@ def _params(args: argparse.Namespace) -> Params:
         raise _CliError(str(e)) from e
 
 
+def _natural(text: str) -> int:
+    """An argument that must be a non-negative integer."""
+
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--c", type=int, default=None)
@@ -107,7 +119,7 @@ def _build_parser() -> _Parser:
     cmd("arity").add_argument("term")
     cmd("degree").add_argument("term")
     p = cmd("stype")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
     p.add_argument("term")
     cmd("nf").add_argument("term")
     p = cmd("reducts")
@@ -117,7 +129,7 @@ def _build_parser() -> _Parser:
     p.add_argument("term1")
     p.add_argument("term2")
     p = cmd("lleq", env=False)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_natural, required=True)
     p.add_argument("--t", required=True)
     p.add_argument("env1")
     p.add_argument("env2")
@@ -125,9 +137,9 @@ def _build_parser() -> _Parser:
     cmd("bigtree").add_argument("term")
     p = cmd("props", env=False)
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p.add_argument("--size", type=int, default=3)
-    p.add_argument("--envlen", type=int, default=1)
-    p.add_argument("--maxsort", type=int, default=1)
+    p.add_argument("--size", type=_natural, default=3)
+    p.add_argument("--envlen", type=_natural, default=1)
+    p.add_argument("--maxsort", type=_natural, default=1)
     return top
 
 

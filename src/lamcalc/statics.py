@@ -33,8 +33,14 @@ __all__ = ["lstas", "da", "lsubd_holds"]
 
 
 def lstas(params: Params, env: Env, term: Term, n: int) -> Optional[Term]:
-    """The n-iterated static type, or ``None`` when unassigned."""
+    """The n-iterated static type, or ``None`` when unassigned.
 
+    Raises ``ValueError`` when ``n`` is negative: the chain has no step
+    before the term itself.
+    """
+
+    if n < 0:
+        raise ValueError("iteration count n must be a natural")
     return _lstas(params.c, env, term, n)
 
 

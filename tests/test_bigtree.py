@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 from lamcalc import Params, aaa, parse_env, parse_term
 from lamcalc.bigtree import (
     BigTreeReport,
@@ -11,10 +13,11 @@ from lamcalc.bigtree import (
     fsb_certify,
     fsb_graph,
 )
-from lamcalc.bigtree import _fpb_holds
-from lamcalc.extended import Cycle, cpx_reducts
+from lamcalc.bigtree import _closure_seq_steps, _fpb_holds, _fqu_holds
+from lamcalc.extended import Cycle, _seq_steps, cpx_reducts, lleq_holds, lpx_reducts
 from lamcalc.reduction import cpr_reducts, lpr_reducts
-from lamcalc.terms import Closure, closure_measure
+from lamcalc.relocation import delift
+from lamcalc.terms import Bind, Closure, Flat, Var, closure_measure, env_push
 from lamcalc.universe import closure_key, enumerate_closures
 
 P = Params()
@@ -179,12 +182,95 @@ def test_fpb_is_never_reflexive_and_implies_fpbq():
             assert fpbq_holds(P, c1, c2)
 
 
+GATE = (4, 2, 1)  # term size, environment length, largest sort
+
+
+def _gate_roots(every=61, n_random=20, seed=8):
+    """Every ``every``-th typed gate closure, and ``n_random`` seeded random
+    gate closures to ask about as well.  Roots reach drops of two entries,
+    which ``enumerate_closures(2, 1, 1)`` never does."""
+
+    pool = [Closure(env, t) for env, t in enumerate_closures(*GATE)]
+    typed = [c for c in pool if aaa(*c) is not None]
+    return typed[::every], random.Random(seed).sample(pool, n_random)
+
+
+def test_fqu_holds_matches_children_at_gate_bounds():
+    roots, others = _gate_roots()
+    drops = set()
+    for c in roots:
+        children = fqu_children(*c)
+        grandchildren = {g for d in children for g in fqu_children(*d)}
+        for d in children | grandchildren | set(others) | {c}:
+            assert _fqu_holds(c, d) == (d in children), (c, d)
+        drops.update(len(c.env) - len(d.env) for d in children)
+    assert 2 in drops
+
+
 def test_fpb_holds_matches_successor_sets():
     pool = [Closure(env, t) for env, t in enumerate_closures(2, 1, 1)]
     for c1 in pool:
         succ = fpb_successors(P, *c1)
         for c2 in pool:
             assert _fpb_holds(P, c1, c2) == (c2 in succ)
+    # at gate bounds, against successors two steps out, subclosures and
+    # every environment reduct, observed by the term or not
+    roots, others = _gate_roots()
+    for c in roots:
+        succ = fpb_successors(P, *c)
+        after = {e for d in succ for e in fpb_successors(P, *d)}
+        envs = {Closure(e2, c.term) for e2 in lpx_reducts(P, c.env)}
+        for d in succ | after | envs | fqu_children(*c) | set(others) | {c}:
+            assert _fpb_holds(P, c, d) == (d in succ), (c, d)
+
+
+def test_closure_skeleton_keeps_observed_entry_steps():
+    # the scan's skeleton steps an entry only when the term refers to it;
+    # an unreferred entry's steps would all be lazily equivalent
+    roots, _ = _gate_roots()
+    for c in roots:
+        env, term = c
+        oracle = list(fqu_children(env, term))
+        oracle += [
+            Closure(env, t2)
+            for t2 in _seq_steps(P.c, P.big_d, env, term)
+            if t2 != term
+        ]
+        for i, (kind, side) in enumerate(env):
+            for s2 in _seq_steps(P.c, P.big_d, env[i + 1 :], side):
+                e2 = env[:i] + ((kind, s2),) + env[i + 1 :]
+                if s2 != side and not lleq_holds(0, term, env, e2):
+                    oracle.append(Closure(e2, term))
+        assert list(_closure_seq_steps(P, c)) == oracle, c
+
+
+def _fqu_children_oracle(env, term):
+    """The direct subclosures, trying every prefix drop without stopping
+    early: an independent oracle for :func:`fqu_children`."""
+
+    out = set()
+    match term:
+        case Var(0) if env:
+            out.add(Closure(env[1:], env[0][1]))
+        case Bind(kind, side, body):
+            out.add(Closure(env, side))
+            out.add(Closure(env_push(env, kind, side), body))
+        case Flat(_, side, body):
+            out.add(Closure(env, side))
+            out.add(Closure(env, body))
+    for m in range(len(env)):
+        dropped = delift(0, m + 1, term)
+        if dropped is not None:
+            out.add(Closure(env[m + 1 :], dropped))
+    return frozenset(out)
+
+
+def test_fqu_children_early_stop_matches_oracle():
+    count = 0
+    for env, t in enumerate_closures(*GATE):
+        assert fqu_children(env, t) == _fqu_children_oracle(env, t), (env, t)
+        count += 1
+    assert count == 72072
 
 
 def test_fpbq_examples():

@@ -7,9 +7,14 @@ import json
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from lamcalc import parse_env, parse_term, print_env, print_term
 from lamcalc.cli import run
+from lamcalc.props import SUITES
+from lamcalc.universe import enumerate_terms
 
 OMEGA_SRC = "(appl (abst *0 (appl #0 #0)) (abst *0 (appl #0 #0)))"
 OMEGA_K_SRC = (
@@ -87,6 +92,30 @@ def test_stype_iterates_sorts():
     assert (code, payload["result"]) == (0, "*4")
     code, payload = invoke(["stype", "--n", "3", "#0"])
     assert code == 1 and payload["result"] is None
+
+
+def test_negative_iteration_count_is_input_error():
+    # a negative count used to print "*-1", which the parser rejects
+    code, payload = invoke(["stype", "--n", "-1", "*0"])
+    assert code == 2
+    assert payload["ok"] is False and payload["result"] is None
+    assert "--n" in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--l", ["lleq", "--l", "-1", "--t", "#0", "[def *0]", "[def *1]"]),
+        ("--size", ["props", "--suite", "statics-laws", "--size", "-1"]),
+        ("--envlen", ["props", "--suite", "statics-laws", "--envlen", "-1"]),
+        ("--maxsort", ["props", "--suite", "statics-laws", "--maxsort", "-2"]),
+    ],
+)
+def test_negative_counts_are_input_errors(flag, argv):
+    code, payload = invoke(argv)
+    assert code == 2
+    assert payload["ok"] is False and payload["result"] is None
+    assert flag in payload["error"]
 
 
 def test_nf_erases_annotation():
@@ -242,3 +271,101 @@ def test_deep_term_is_a_resource_error(depth):
     assert code == 3
     assert payload["ok"] is False and payload["result"] is None
     assert "error" in payload
+
+
+# Terms of at most 4 constructors and environments of at most 2 entries,
+# printed, plus a few malformed inputs.  Inputs this small, with a budget of
+# at most 500 and fuel of at most 50, keep every command short: none comes
+# near the guarded loop whose term-level graph grows without bound.
+_TERMS = [print_term(t) for t in enumerate_terms(4, 2, 3)]
+_ATOMS = [t for t in _TERMS if not t.startswith("(")]
+_JUNK = ["", "(appl *0", "*-1", "#x", "(bogus *0 *1)", "[def]"]
+
+
+def _mostly(good: st.SearchStrategy) -> st.SearchStrategy:
+    """``good`` nine times in ten, else a malformed input."""
+
+    return st.integers(0, 9).flatmap(
+        lambda k: st.sampled_from(_JUNK) if k == 5 else good
+    )
+
+
+# atoms as often as compound terms, which far outnumber them
+_terms = st.one_of(st.sampled_from(_ATOMS), st.sampled_from(_TERMS))
+_term_args = _mostly(_terms)
+_env_args = _mostly(
+    st.lists(
+        st.tuples(st.sampled_from(["def", "dec"]), _terms),
+        max_size=2,
+    ).map(lambda es: "[" + "; ".join(f"{k} {t}" for k, t in es) + "]")
+)
+_small = st.integers(-2, 3).map(str)
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    command = draw(
+        st.sampled_from(
+            ["parse", "check", "arity", "degree", "stype", "nf", "reducts",
+             "conv", "lleq", "csx", "bigtree", "props"]
+        )
+    )
+    argv = [command,
+            "--fuel", str(draw(st.integers(0, 50))),
+            "--budget", str(draw(st.integers(0, 500)))]
+    for flag, values in (("--c", st.integers(1, 3)), ("--D", st.integers(0, 3))):
+        if draw(st.booleans()):
+            argv += [flag, str(draw(values))]
+    if command == "props":
+        return argv + [
+            "--suite", draw(st.sampled_from(sorted(SUITES))),
+            "--size", str(draw(st.integers(-1, 2))),
+            "--envlen", str(draw(st.integers(-1, 2))),
+            "--maxsort", str(draw(st.integers(-1, 1))),
+        ]
+    if command == "lleq":
+        return argv + ["--l", draw(_small), "--t", draw(_term_args),
+                       draw(_env_args), draw(_env_args)]
+    if command != "parse":
+        argv += ["--env", draw(_env_args)]
+    if command == "stype":
+        argv += ["--n", draw(_small)]
+    if command == "reducts" and draw(st.booleans()):
+        argv.append("--extended")
+    argv.append(draw(_term_args))
+    if command == "conv":
+        argv.append(draw(_term_args))
+    return argv
+
+
+def _parses_back(command: str, result) -> None:
+    """Every term or environment the CLI prints is one it can read."""
+
+    if command in ("parse", "stype", "nf") and result is not None:
+        assert print_term(parse_term(result)) == result
+    elif command == "reducts" and result is not None:
+        for text in result:
+            assert print_term(parse_term(text)) == text
+    elif command == "csx" and isinstance(result, dict) and "cycle" in result:
+        for text in result["cycle"]:
+            assert print_term(parse_term(text)) == text
+    elif command == "bigtree" and isinstance(result, dict) and "cycle" in result:
+        for text in result["cycle"]:
+            env, term = text.split(" |- ")
+            assert print_env(parse_env(env)) == env
+            assert print_term(parse_term(term)) == term
+
+
+@settings(
+    max_examples=1000,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_argv())
+def test_cli_fuzz_one_json_line_and_known_exit_code(argv):
+    code, payload = invoke(argv)
+    assert code in range(5)
+    assert payload["ok"] is (code == 0)
+    if code >= 2:
+        assert "error" in payload
+    _parses_back(argv[0], payload["result"])

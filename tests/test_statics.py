@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from lamcalc import BindKind, Params, Sort, Var, parse_env, parse_term
 from lamcalc.reduction import cpr_reducts
 from lamcalc.statics import da, lsubd_holds, lstas
@@ -12,6 +14,13 @@ def test_lstas_sort():
     assert lstas(P, (), Sort(0), 2) == Sort(2)
     assert lstas(P, (), Sort(3), 0) == Sort(3)
     assert lstas(Params(c=3), (), Sort(1), 2) == Sort(7)
+
+
+def test_lstas_rejects_negative_iterations():
+    # a negative count used to give Sort(-1), a term no parser accepts
+    for term in (Sort(0), Var(0), parse_term("(abst *0 #0)")):
+        with pytest.raises(ValueError):
+            lstas(P, (), term, -1)
 
 
 def test_lstas_declared_variable():
