@@ -262,8 +262,9 @@ def _closure_seq_steps(params: Params, c: Closure):
 CLOSURE_SCAN_DEPTH = 6
 
 
-# Closures proved strongly normalizing, one set per sort hierarchy.
-_SN: dict[tuple[int, int], set[Closure]] = {}
+# Closures proved strongly normalizing, with their longest path, one map per
+# sort hierarchy.
+_SN: dict[tuple[int, int], dict[Closure, int]] = {}
 # Successor sets by (hierarchy, closure), with the size of the largest
 # reduct set each drew on.
 _SUCCESSORS: dict[
@@ -302,13 +303,13 @@ def fsb_certify(params: Params, env: Env, term: Term) -> BigTreeReport | Cycle:
     got = certify(
         Closure(env, term),
         measure=closure_measure,
-        key=_closure_sort_key,
+        key=closure_key,
         skeleton=lambda c: _closure_seq_steps(params, c),
         closes=lambda c, back: _fpb_holds(params, c, back),
         depth=CLOSURE_SCAN_DEPTH,
         successors=lambda c: _kept_successors(params, c),
         budget=params.budget,
-        sn=_SN.setdefault(_ext(params.c, params.big_d), set()),
+        sn=_SN.setdefault(_ext(params.c, params.big_d), {}),
     )
     if isinstance(got, Cycle):
         return got

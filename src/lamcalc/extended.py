@@ -180,10 +180,6 @@ def cnx_holds(params: Params, env: Env, term: Term) -> bool:
     return next(_seq_steps(params.c, params.big_d, env, term), None) is None
 
 
-def _size_key(t: Term) -> tuple:
-    return (term_size(t), term_key(t))
-
-
 def _seq_steps(c: int, big_d: int, env: Env, term: Term):
     """Single-redex steps, the sequential skeleton of extended reduction.
 
@@ -234,8 +230,9 @@ def _seq_steps(c: int, big_d: int, env: Env, term: Term):
 # long are probed for a parallel step closing back onto the path.
 CYCLE_SCAN_DEPTH = 4
 
-# Terms proved strongly normalizing, one set per (hierarchy, environment).
-_SN: dict[tuple[tuple[int, int], Env], set[Term]] = {}
+# Terms proved strongly normalizing, with their longest path, one map per
+# (hierarchy, environment).
+_SN: dict[tuple[tuple[int, int], Env], dict[Term, int]] = {}
 
 
 def csx_certify(params: Params, env: Env, term: Term) -> SnReport | Cycle:
@@ -255,13 +252,13 @@ def csx_certify(params: Params, env: Env, term: Term) -> SnReport | Cycle:
     got = certify(
         term,
         measure=term_size,
-        key=_size_key,
+        key=term_key,
         skeleton=lambda t: _seq_steps(params.c, params.big_d, env, t),
         closes=lambda t, back: _step_to(params.c, params.big_d, env, t, back),
         depth=CYCLE_SCAN_DEPTH,
         successors=lambda t: one_step(ext, env, t, params.budget),
         budget=params.budget,
-        sn=_SN.setdefault((ext, env), set()),
+        sn=_SN.setdefault((ext, env), {}),
     )
     if isinstance(got, Cycle):
         return got

@@ -26,6 +26,9 @@ _ITEM_KIND = {
     "cast": (Flat, FlatKind.CAST),
 }
 _ENTRY_KIND = {"def": BindKind.ABBR, "dec": BindKind.ABST}
+# ASCII only: str.isdigit() also holds for digits of other scripts and for
+# superscripts, which int() reads differently or not at all.
+_DIGITS = frozenset("0123456789")
 
 
 class ParseError(ValueError):
@@ -56,11 +59,14 @@ class _Scanner:
 
     def nat(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected a number", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # longer than int() converts
+            raise ParseError("number too long", start) from None
 
     def word(self) -> str:
         start = self.pos

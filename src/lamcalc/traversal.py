@@ -7,16 +7,22 @@ catch cycles, a budget caps the number of distinct nodes, and a second
 pass over the finish order computes the longest path and the edge count.
 
 ``certify`` runs that walk for terms and closures alike, after a cheap
-scan for a cycle near the root.  It takes a set of nodes already proved
-strongly normalizing, skips them in the scan, and adds every node of each
-finite acyclic graph it explores, so later calls under the same relation
-reuse earlier certificates.
+scan for a cycle near the root.  It takes ``sn``, a map from each node
+already proved strongly normalizing to its longest path, closed under
+successors.  The scan skips those nodes and the walk stops at them, taking
+their longest path from ``sn`` and counting the nodes and edges below them
+with a plain set walk; every node of each finite acyclic graph joins
+``sn``, so later calls under the same relation reuse earlier certificates.
+That walk visits in any order, since an acyclic report does not depend on
+it.  Only a cycle or a budget failure does, so then the graph is walked
+again from scratch with successors sorted, and the answer is the one a
+cold call gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import BudgetExceeded
 
@@ -52,13 +58,11 @@ def explore(
     root: Node,
     successors: Callable[[Node], Iterable[Node]],
     budget: int,
-    *,
-    finished: list[Node] | None = None,
 ) -> Cycle | tuple[int, int, int]:
     """Walk the graph from ``root``; return a Cycle or (nodes, edges, depth).
 
-    When ``finished`` is given and no cycle is found, every reachable node
-    is appended to it, in finish order.
+    Successors are visited in the order given, which decides the cycle
+    returned and the budget failure raised first.
     """
 
     succ_of: dict[Node, tuple[Node, ...]] = {}
@@ -103,9 +107,77 @@ def explore(
         out = succ_of[n]
         edges += len(out)
         depth[n] = 1 + max(depth[s] for s in out) if out else 0
-    if finished is not None:
-        finished.extend(finish)
     return len(finish), edges, depth[root]
+
+
+def _walk(
+    root: Node,
+    successors: Callable[[Node], Iterable[Node]],
+    budget: int,
+    sn: dict[Node, int],
+) -> tuple[int, int, int] | None:
+    """:func:`explore` over proper steps, in any order, stopping at ``sn``.
+
+    Returns (nodes, edges, depth) and adds every new node to ``sn``, or
+    returns None, leaving ``sn`` alone, on a grey edge or when more than
+    ``budget`` nodes are reachable.  ``successors`` is called on every
+    reachable node, so its ``BudgetExceeded`` propagates as in a full walk.
+    """
+
+    if budget < 1:
+        return None
+    seen = {root}
+    border: list[Node] = []  # reached nodes of sn, not yet walked
+    succ_of: dict[Node, tuple[Node, ...]] = {}  # new nodes' proper steps
+    grey: set[Node] = set()
+    finish: list[Node] = []
+
+    def enter(n: Node) -> Iterator[Node]:
+        grey.add(n)
+        out = succ_of[n] = tuple(s for s in successors(n) if s != n)
+        return iter(out)
+
+    stack = []
+    if root in sn:
+        border.append(root)
+    else:
+        stack.append((root, enter(root)))
+    while stack:
+        node, pending = stack[-1]
+        for child in pending:
+            if child in grey:
+                return None
+            if child in seen:
+                continue
+            seen.add(child)
+            if len(seen) > budget:
+                return None
+            if child in sn:
+                border.append(child)
+            else:
+                stack.append((child, enter(child)))
+                break
+        else:
+            stack.pop()
+            grey.discard(node)
+            finish.append(node)
+    # sn is closed under successors, so below the border every node is in
+    # sn and only the counts remain to be taken.
+    edges = sum(map(len, succ_of.values()))
+    while border:
+        n = border.pop()
+        for s in successors(n):
+            if s != n:
+                edges += 1
+                if s not in seen:
+                    seen.add(s)
+                    if len(seen) > budget:
+                        return None
+                    border.append(s)
+    for n in finish:
+        out = succ_of[n]
+        sn[n] = 1 + max(sn[s] for s in out) if out else 0
+    return len(seen), edges, sn[root]
 
 
 def certify(
@@ -118,7 +190,7 @@ def certify(
     depth: int,
     successors: Callable[[Node], Iterable[Node]],
     budget: int,
-    sn: set[Node],
+    sn: dict[Node, int],
 ) -> Cycle | tuple[int, int, int]:
     """Certify that no infinite chain of proper steps leaves ``root``.
 
@@ -133,15 +205,19 @@ def certify(
     2. Explore the graph of ``successors``.  Its report is exact; when
        the graph is too large or infinite, the ``budget`` stops the walk.
 
-    Successors are visited in ``key`` order, so results are deterministic.
+    Where order matters, steps are taken by ``measure``, then ``key``, so
+    results are deterministic.
 
-    ``sn`` holds nodes known to be strongly normalizing under the same
-    relation; it is read and extended in place.  The scan returns at once
-    at such a node: no cycle passes through it, and every node it reaches
-    is strongly normalizing too, so the first cycle found is the same.
-    When the exploration finds no cycle, every node of its graph joins
-    ``sn``.  The exploration still walks every node, so the reported
-    counts do not depend on what ``sn`` held.
+    ``sn`` maps nodes known to be strongly normalizing under the same
+    relation to their longest path, and is closed under successors; it is
+    read and extended in place.  The scan returns at once at such a node:
+    no cycle passes through it, and every node it reaches is strongly
+    normalizing too, so the first cycle found is the same.  The
+    exploration walks the new nodes in any order and stops at ``sn``
+    nodes, counting what lies below them; when it finds no cycle, every
+    new node joins ``sn`` with its longest path.  On a cycle or a budget
+    failure it walks the whole graph again in order, without ``sn``, so
+    no report, cycle or failure depends on what ``sn`` held.
     """
 
     cap = measure(root) + CYCLE_SCAN_SLACK
@@ -159,10 +235,8 @@ def certify(
         seen.add(n)
         path.append(n)
         try:
-            steps = sorted(
-                {s for s in skeleton(n) if s != n and measure(s) <= cap}, key=key
-            )
-            for s in steps:
+            steps = {s: m for s in skeleton(n) if s != n and (m := measure(s)) <= cap}
+            for s in sorted(steps, key=lambda s: (steps[s], key(s))):
                 got = scan(s, left - 1)
                 if got is not None:
                     return got
@@ -173,12 +247,19 @@ def certify(
     got = scan(root, depth)
     if got is not None:
         return got
+    try:
+        report = _walk(root, successors, budget, sn)
+    except BudgetExceeded:
+        report = None
+    if report is not None:
+        return report
 
     def proper(n: Node) -> list[Node]:
-        return sorted((s for s in successors(n) if s != n), key=key)
+        return sorted(
+            (s for s in successors(n) if s != n), key=lambda s: (measure(s), key(s))
+        )
 
-    finished: list[Node] = []
-    got = explore(root, proper, budget, finished=finished)
-    if not isinstance(got, Cycle):
-        sn.update(finished)
-    return got
+    # A cycle or a budget failure: the ordered walk finds or raises the
+    # same as a cold call.  It never reports an acyclic graph here, since
+    # this graph has a cycle, more than ``budget`` nodes or a failing node.
+    return explore(root, proper, budget)

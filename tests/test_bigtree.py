@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 
-from lamcalc import Params, aaa, parse_env, parse_term
+from lamcalc import Params, aaa, clear_caches, parse_env, parse_term
 from lamcalc.bigtree import (
     BigTreeReport,
     fpb_successors,
@@ -14,7 +14,15 @@ from lamcalc.bigtree import (
     fsb_graph,
 )
 from lamcalc.bigtree import _closure_seq_steps, _fpb_holds, _fqu_holds
-from lamcalc.extended import Cycle, _seq_steps, cpx_reducts, lleq_holds, lpx_reducts
+from lamcalc.extended import (
+    Cycle,
+    SnReport,
+    _seq_steps,
+    cpx_reducts,
+    csx_certify,
+    lleq_holds,
+    lpx_reducts,
+)
 from lamcalc.reduction import cpr_reducts, lpr_reducts
 from lamcalc.relocation import delift
 from lamcalc.terms import Bind, Closure, Flat, Var, closure_measure, env_push
@@ -314,6 +322,23 @@ def test_fsb_matches_graph_oracle():
         oracle = _fsb_oracle(env, t)
         assert oracle is not None
         assert fsb_certify(P, env, t) == BigTreeReport(*oracle)
+
+
+def test_warm_reports_match_graph_oracle_at_gate_bounds():
+    """Certificates drawn from warm tables: typed gate closures certified
+    in one process, neighbours sharing subgraphs, and every tenth report
+    re-derived by the BFS oracle."""
+
+    typed = [c for c in enumerate_closures(*GATE) if aaa(*c) is not None]
+    sample = typed[1000:1030] + typed[5000:5030] + typed[::151]
+    clear_caches()
+    reports = [(fsb_certify(P, *c), csx_certify(P, *c)) for c in sample]
+    for (env, t), (fsb, csx) in list(zip(sample, reports))[::10]:
+        assert fsb == BigTreeReport(*_fsb_oracle(env, t)), (env, t)
+        nodes, _, depth = _graph_report(
+            t, lambda t1: [t2 for t2 in cpx_reducts(P, env, t1) if t2 != t1]
+        )
+        assert csx == SnReport(nodes, depth), (env, t)
 
 
 def test_typed_closures_certify():

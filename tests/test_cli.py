@@ -45,6 +45,19 @@ def test_parse_error_is_input_error():
     assert "error" in payload
 
 
+@pytest.mark.parametrize(
+    "arg",
+    ["*\u00b2", "*\u0663", "*" + "9" * 5000, "[dec #\u00b2]"],
+    ids=["superscript", "arabic-indic", "5000-digits", "in-env"],
+)
+def test_non_ascii_or_overlong_numeral_is_input_error(arg):
+    argv = ["parse", arg] if arg[0] != "[" else ["check", "--env", arg, "*0"]
+    code, payload = invoke(argv)
+    assert code == 2
+    assert payload["ok"] is False and payload["result"] is None
+    assert "number" in payload["error"]
+
+
 def test_unknown_command_is_input_error():
     code, payload = invoke(["frobnicate", "*0"])
     assert code == 2 and payload["ok"] is False
@@ -279,7 +292,10 @@ def test_deep_term_is_a_resource_error(depth):
 # near the guarded loop whose term-level graph grows without bound.
 _TERMS = [print_term(t) for t in enumerate_terms(4, 2, 3)]
 _ATOMS = [t for t in _TERMS if not t.startswith("(")]
-_JUNK = ["", "(appl *0", "*-1", "#x", "(bogus *0 *1)", "[def]"]
+_JUNK = [
+    "", "(appl *0", "*-1", "#x", "(bogus *0 *1)", "[def]",
+    "*\u00b2", "#\u0663", "*" + "9" * 5000,
+]
 
 
 def _mostly(good: st.SearchStrategy) -> st.SearchStrategy:

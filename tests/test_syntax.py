@@ -113,6 +113,24 @@ def test_parse_rejects_garbage():
             parse_env(bad)
 
 
+def test_numerals_are_ascii_digits_only():
+    # str.isdigit() holds for a superscript two and an Arabic-Indic three;
+    # int() rejects the first and reads the second as 3.
+    for bad in ["*\u00b2", "*\u0663", "#\u0663", "[dec *\u00b2]"]:
+        with pytest.raises(ParseError) as got:
+            (parse_env if bad.startswith("[") else parse_term)(bad)
+        assert got.value.offset == next(i for i, ch in enumerate(bad) if not ch.isascii())
+    assert parse_term("*0123") == Sort(123)
+
+
+def test_overlong_numeral_is_a_parse_error():
+    # int() refuses strings of more than 4,300 digits (Python 3.11)
+    with pytest.raises(ParseError, match="number too long") as got:
+        parse_term("*" + "9" * 5000)
+    assert got.value.offset == 1
+    assert parse_term("#" + "7" * 4000) == Var(int("7" * 4000))
+
+
 @given(terms())
 def test_parse_print_roundtrip(t):
     assert parse_term(print_term(t)) == t

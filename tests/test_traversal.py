@@ -3,6 +3,12 @@ what the exploration reports and remembers."""
 
 from __future__ import annotations
 
+import random
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from lamcalc.errors import BudgetExceeded
 from lamcalc.traversal import Cycle, certify, explore
 
 # 0 -> 1 -> 2 -> 0 is a cycle; 3 -> 4 -> 5 with a shortcut 3 -> 5 is not.
@@ -10,7 +16,7 @@ LOOP = {0: [1], 1: [2], 2: [0]}
 DAG = {3: [4, 5], 4: [5], 5: []}
 
 
-def _certify(graph, root, *, depth, sn=None, successors=None):
+def _certify(graph, root, *, depth, sn=None, successors=None, budget=100):
     return certify(
         root,
         measure=lambda n: 0,
@@ -19,9 +25,16 @@ def _certify(graph, root, *, depth, sn=None, successors=None):
         closes=lambda n, back: back in graph[n],
         depth=depth,
         successors=successors or (lambda n: graph[n]),
-        budget=100,
-        sn=set() if sn is None else sn,
+        budget=budget,
+        sn={} if sn is None else sn,
     )
+
+
+def _outcome(run, *args, **kwargs):
+    try:
+        return run(*args, **kwargs)
+    except BudgetExceeded as e:
+        return ("raised", str(e))
 
 
 def _unreachable(n):
@@ -39,13 +52,124 @@ def test_explore_finds_the_cycle_the_scan_misses():
 
 
 def test_acyclic_report_is_explores_and_joins_sn():
-    sn: set[int] = set()
+    sn: dict[int, int] = {}
     got = _certify(DAG, 3, depth=4, sn=sn)
     assert got == explore(3, lambda n: DAG[n], 100) == (3, 3, 2)
-    assert sn == {3, 4, 5}
+    assert sn == {3: 2, 4: 1, 5: 0}
 
 
 def test_root_in_sn_still_gets_the_exact_report():
-    sn = {3}
+    sn = {3: 2, 4: 1, 5: 0}
     assert _certify(DAG, 3, depth=4, sn=sn) == (3, 3, 2)
-    assert sn == {3, 4, 5}
+    assert sn == {3: 2, 4: 1, 5: 0}
+
+
+def test_walk_stops_at_sn_and_counts_below_it():
+    sn = {4: 1, 5: 0}
+    assert _certify(DAG, 3, depth=0, sn=sn) == (3, 3, 2)
+    assert sn == {3: 2, 4: 1, 5: 0}
+
+
+def test_tiny_budget_raises_alike_on_a_warm_sn():
+    cold = _outcome(_certify, DAG, 3, depth=0, budget=2)
+    assert cold == ("raised", "more than 2 reachable nodes")
+    sn: dict[int, int] = {}
+    _certify(DAG, 3, depth=0, sn=sn)
+    assert _outcome(_certify, DAG, 3, depth=0, sn=sn, budget=2) == cold
+    assert _outcome(_certify, DAG, 4, depth=0, sn=sn, budget=1) == (
+        "raised",
+        "more than 1 reachable nodes",
+    )
+
+
+def test_failing_successors_raise_alike_on_a_warm_sn():
+    """Two nodes fail, each with its own message: a cold call raises the
+    first one the ordered walk reaches, and so must a warm call."""
+
+    def failing(n):
+        if n in (4, 5):
+            raise BudgetExceeded(f"node {n}")
+        return DAG[n]
+
+    cold = _outcome(_certify, DAG, 3, depth=0, successors=failing)
+    assert cold == ("raised", "node 4")
+    sn: dict[int, int] = {}
+    _certify(DAG, 3, depth=0, sn=sn)
+    assert _outcome(_certify, DAG, 3, depth=0, sn=sn, successors=failing) == cold
+    assert sn == {3: 2, 4: 1, 5: 0}
+
+
+def _oracle(graph, root):
+    """BFS the reachable graph without self-steps; None if Kahn's peeling
+    leaves a node, else (nodes, edges, longest path)."""
+
+    seen = {root}
+    frontier = [root]
+    outs = {}
+    while frontier:
+        fresh = []
+        for n in frontier:
+            outs[n] = [m for m in set(graph[n]) if m != n]
+            for m in outs[n]:
+                if m not in seen:
+                    seen.add(m)
+                    fresh.append(m)
+        frontier = fresh
+    indegree = dict.fromkeys(seen, 0)
+    for ms in outs.values():
+        for m in ms:
+            indegree[m] += 1
+    queue = [n for n in seen if indegree[n] == 0]
+    topo = []
+    while queue:
+        n = queue.pop()
+        topo.append(n)
+        for m in outs[n]:
+            indegree[m] -= 1
+            if indegree[m] == 0:
+                queue.append(m)
+    if len(topo) < len(seen):
+        return None
+    depth = {}
+    for n in reversed(topo):
+        depth[n] = max((depth[m] + 1 for m in outs[n]), default=0)
+    return len(seen), sum(map(len, outs.values())), depth[root]
+
+
+@st.composite
+def _digraphs(draw):
+    n = draw(st.integers(1, 12))
+    nodes = st.integers(0, n - 1)
+    graph = {i: draw(st.lists(nodes, max_size=4, unique=True)) for i in range(n)}
+    return graph, draw(st.permutations(range(n))), draw(st.integers(1, 13))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digraphs(), st.randoms(use_true_random=False))
+def test_warm_reports_match_cold_sorted_explore(case, rng: random.Random):
+    """Roots certified in a random order on one shared ``sn``, each
+    successor set handed over in a fresh random order, give what a sorted
+    ``explore`` gives on its own; acyclic reports match a BFS oracle and
+    leave ``sn`` closed under successors, with true longest paths."""
+
+    graph, roots, budget = case
+
+    def shuffled(n):
+        out = list(graph[n])
+        rng.shuffle(out)
+        return out
+
+    sn: dict[int, int] = {}
+    for root in roots:
+        got = _outcome(
+            _certify, graph, root, depth=0, sn=sn, successors=shuffled, budget=budget
+        )
+        cold = _outcome(explore, root, lambda n: sorted(set(graph[n]) - {n}), budget)
+        assert got == cold, (root, sn)
+        if isinstance(got, Cycle):
+            assert _oracle(graph, root) is None
+        elif got[0] != "raised":
+            assert got == _oracle(graph, root)
+    for n, longest in sn.items():
+        assert _oracle(graph, n)[2] == longest
+        assert set(graph[n]) <= set(sn)
