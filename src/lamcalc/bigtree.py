@@ -15,10 +15,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded
 from .extended import (
     Cycle,
-    _ext,
     _seq_steps,
     _step_to,
     frees_holds,
@@ -39,7 +37,7 @@ from .terms import (
     closure_measure,
     env_push,
 )
-from .traversal import certify
+from .traversal import certify, reach
 from .universe import closure_key
 
 __all__ = [
@@ -133,23 +131,9 @@ def fquq_holds(c1: Closure, c2: Closure) -> bool:
 def fqus_holds(c1: Closure, c2: Closure, budget: int) -> bool:
     """Is ``c2`` an iterated subclosure of ``c1`` (reflexively)?"""
 
-    seen = {c1}
-    frontier = [c1]
-    while frontier:
-        if c2 in seen:
-            return True
-        fresh = []
-        for c in frontier:
-            for child in fqu_children(*c):
-                if child not in seen:
-                    seen.add(child)
-                    if len(seen) > budget:
-                        raise BudgetExceeded(
-                            f"more than {budget} iterated subclosures"
-                        )
-                    fresh.append(child)
-        frontier = fresh
-    return c2 in seen
+    return c1 == c2 or any(
+        c2 in out for _, out in reach(c1, lambda c: fqu_children(*c), budget)
+    )
 
 
 def fpb_successors(params: Params, env: Env, term: Term) -> frozenset[Closure]:
@@ -162,7 +146,7 @@ def fpb_successors(params: Params, env: Env, term: Term) -> frozenset[Closure]:
     or create an infinite chain, so certification may ignore them.
     """
 
-    return _successors(_ext(params.c, params.big_d), env, term, params.budget)[0]
+    return _successors((params.c, params.big_d), env, term, params.budget)[0]
 
 
 def _successors(
@@ -226,10 +210,6 @@ def _fpb_holds(params: Params, c1: Closure, c2: Closure) -> bool:
     return _fqu_holds(c1, c2)
 
 
-def _closure_sort_key(c: Closure) -> tuple:
-    return (closure_measure(c), closure_key(c))
-
-
 def _closure_seq_steps(params: Params, c: Closure):
     """Single-redex skeleton of the proper-step relation.
 
@@ -277,7 +257,7 @@ def _kept_successors(params: Params, c: Closure) -> frozenset[Closure]:
     or miss, when a reduct set drawn on has more than ``params.budget``
     elements, so a cold and a warm call raise alike."""
 
-    ext = _ext(params.c, params.big_d)
+    ext = (params.c, params.big_d)
     key = (ext, c)
     got = _SUCCESSORS.get(key)
     if got is None:
@@ -309,7 +289,7 @@ def fsb_certify(params: Params, env: Env, term: Term) -> BigTreeReport | Cycle:
         depth=CLOSURE_SCAN_DEPTH,
         successors=lambda c: _kept_successors(params, c),
         budget=params.budget,
-        sn=_SN.setdefault(_ext(params.c, params.big_d), {}),
+        sn=_SN.setdefault((params.c, params.big_d), {}),
     )
     if isinstance(got, Cycle):
         return got
@@ -328,21 +308,10 @@ def fsb_graph(params: Params, env: Env, term: Term) -> str:
     subject to the node budget.
     """
 
-    root = Closure(env, term)
-    seen = {root}
-    frontier = [root]
-    lines = []
-    while frontier:
-        fresh = []
-        for c in frontier:
-            for child in sorted(fpb_successors(params, *c), key=_closure_sort_key):
-                lines.append(f"{_print_closure(c)} -> {_print_closure(child)}")
-                if child not in seen:
-                    seen.add(child)
-                    if len(seen) > params.budget:
-                        raise BudgetExceeded(
-                            f"more than {params.budget} reachable closures"
-                        )
-                    fresh.append(child)
-        frontier = fresh
+    graph = reach(
+        Closure(env, term), lambda c: fpb_successors(params, *c), params.budget
+    )
+    lines = [
+        f"{_print_closure(c)} -> {_print_closure(d)}" for c, out in graph for d in out
+    ]
     return "\n".join(sorted(lines))

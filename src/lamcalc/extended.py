@@ -56,17 +56,10 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _ext(c: int, big_d: int) -> tuple[int, int]:
-    """The :func:`one_step` switch for a hierarchy, shared by memo keys."""
-
-    return (c, big_d)
-
-
 def cpx_reducts(params: Params, env: Env, term: Term) -> frozenset[Term]:
     """All one-step extended parallel reducts of ``term`` (incl. itself)."""
 
-    return one_step(_ext(params.c, params.big_d), env, term, params.budget)
+    return one_step((params.c, params.big_d), env, term, params.budget)
 
 
 def cpx_holds(params: Params, env: Env, t1: Term, t2: Term) -> bool:
@@ -158,7 +151,7 @@ def lpx_reducts(params: Params, env: Env) -> frozenset[Env]:
     """One extended step inside the entries, each in its own outer
     environment, kinds unchanged."""
 
-    return env_reducts(_ext(params.c, params.big_d), env, params.budget)
+    return env_reducts((params.c, params.big_d), env, params.budget)
 
 
 def lpx_holds(params: Params, env1: Env, env2: Env) -> bool:
@@ -248,7 +241,7 @@ def csx_certify(params: Params, env: Env, term: Term) -> SnReport | Cycle:
     every later call over the same environment and sort hierarchy.
     """
 
-    ext = _ext(params.c, params.big_d)
+    ext = (params.c, params.big_d)
     got = certify(
         term,
         measure=term_size,
@@ -325,7 +318,7 @@ def lsx_certify(params: Params, l: int, term: Term, env: Env) -> SnReport | Cycl
             key=env_key,
         )
 
-    got = explore(env, successors, params.budget)
+    got = explore(env, successors, params.budget, {})
     if isinstance(got, Cycle):
         return got
     nodes, _, depth = got

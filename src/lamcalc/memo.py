@@ -22,7 +22,6 @@ TABLES = (
     statics._lstas,
     statics._da,
     arity._aaa,
-    extended._ext,
     extended._STEP,
     extended._SN,
     extended.frees_holds,

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .arity import aaa
-from .bigtree import BigTreeReport, fsb_certify
+from .bigtree import fsb_certify
 from .errors import BudgetExceeded, FuelExhausted
 from .extended import (
     cpx_holds,
@@ -29,7 +29,7 @@ from .reduction import cpr_reducts
 from .sexpr import print_env, print_term
 from .statics import da, lstas
 from .terms import Bind, Env, Flat, Params, Sort, Term, Var, env_push
-from .traversal import SnReport
+from .traversal import Cycle
 from .universe import enumerate_closures, env_key, term_key
 from .validity import preservation_report, snv_check
 
@@ -106,24 +106,37 @@ def suite_arity_preservation(
     return sorted(bad)
 
 
-def suite_sn_extended(
-    params: Params, size: int, envlen: int, maxsort: int
+def _suite_certify(
+    certify: Callable[[Params, Env, Term], object],
+    params: Params,
+    size: int,
+    envlen: int,
+    maxsort: int,
 ) -> list[str]:
-    """Every term with an atomic arity strongly normalizes under extended
-    reduction."""
+    """Every closure with an atomic arity gets a certificate, not a cycle
+    or a spent budget, from ``certify``."""
 
     bad = []
     for env, t in enumerate_closures(size, envlen, maxsort):
         if aaa(env, t) is None:
             continue
         try:
-            got = csx_certify(params, env, t)
+            got = certify(params, env, t)
         except BudgetExceeded as e:
             bad.append(f"{_spot(env, t)}: budget exhausted ({e})")
             continue
-        if not isinstance(got, SnReport):
+        if isinstance(got, Cycle):
             bad.append(f"{_spot(env, t)}: cycle of length {len(got.path)}")
     return sorted(bad)
+
+
+def suite_sn_extended(
+    params: Params, size: int, envlen: int, maxsort: int
+) -> list[str]:
+    """Every term with an atomic arity strongly normalizes under extended
+    reduction."""
+
+    return _suite_certify(csx_certify, params, size, envlen, maxsort)
 
 
 def suite_very_big_tree(
@@ -132,18 +145,7 @@ def suite_very_big_tree(
     """Every closure with an atomic arity admits no infinite chain of
     subclosure, term-reduction and observed environment-reduction steps."""
 
-    bad = []
-    for env, t in enumerate_closures(size, envlen, maxsort):
-        if aaa(env, t) is None:
-            continue
-        try:
-            got = fsb_certify(params, env, t)
-        except BudgetExceeded as e:
-            bad.append(f"{_spot(env, t)}: budget exhausted ({e})")
-            continue
-        if not isinstance(got, BigTreeReport):
-            bad.append(f"{_spot(env, t)}: cycle of length {len(got.path)}")
-    return sorted(bad)
+    return _suite_certify(fsb_certify, params, size, envlen, maxsort)
 
 
 def suite_subject_reduction(

@@ -37,6 +37,7 @@ from .terms import (
     Var,
     env_push,
 )
+from .traversal import reach
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -277,23 +278,9 @@ def cprs_holds(env: Env, t1: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> bo
     small visit budget while the target is a single step away.
     """
 
-    if t1 == t2:
-        return True
-    seen = {t1}
-    frontier = [t1]
-    while frontier:
-        fresh = []
-        for t in frontier:
-            reducts = cpr_reducts(env, t)
-            if t2 in reducts:
-                return True
-            for r in reducts:
-                if r not in seen:
-                    seen.add(r)
-                    _guard(len(seen), budget)
-                    fresh.append(r)
-        frontier = fresh
-    return False
+    return t1 == t2 or any(
+        t2 in out for _, out in reach(t1, lambda t: cpr_reducts(env, t), budget)
+    )
 
 
 def conv(env: Env, t1: Term, t2: Term, fuel: int = DEFAULT_FUEL) -> bool:

@@ -32,10 +32,10 @@ _DIGITS = frozenset("0123456789")
 
 
 class ParseError(ValueError):
-    """Malformed input; ``offset`` is the byte position of the problem."""
+    """Malformed input; ``offset`` is the character index of the problem."""
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at byte {offset})")
+        super().__init__(f"{message} (at character {offset})")
         self.offset = offset
 
 

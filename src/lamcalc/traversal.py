@@ -1,32 +1,36 @@
-"""Exhaustive graph exploration with cycle detection, and the certifier.
+"""Graph walks with cycle detection, and the certifier.
 
 Strong normalization of a finitely-branching relation is equivalent to the
 reachable successor graph being finite and acyclic, so the certifiers walk
-that graph: a depth-first search keeps the current path (grey nodes) to
-catch cycles, a budget caps the number of distinct nodes, and a second
-pass over the finish order computes the longest path and the edge count.
+that graph with :func:`explore`: a depth-first search over proper steps
+that keeps the current path (grey nodes) to catch cycles, caps the number
+of distinct nodes by a budget, and computes the longest path and the edge
+count over the finish order.  It takes ``sn``, a map from each node
+already proved strongly normalizing to its longest path, closed under
+successors.  The walk stops at those nodes, taking their longest path from
+``sn`` and counting the nodes and edges below them with a plain set walk;
+every node of each finite acyclic graph joins ``sn``, so later walks under
+the same relation reuse earlier certificates.
 
 ``certify`` runs that walk for terms and closures alike, after a cheap
-scan for a cycle near the root.  It takes ``sn``, a map from each node
-already proved strongly normalizing to its longest path, closed under
-successors.  The scan skips those nodes and the walk stops at them, taking
-their longest path from ``sn`` and counting the nodes and edges below them
-with a plain set walk; every node of each finite acyclic graph joins
-``sn``, so later calls under the same relation reuse earlier certificates.
-That walk visits in any order, since an acyclic report does not depend on
-it.  Only a cycle or a budget failure does, so then the graph is walked
-again from scratch with successors sorted, and the answer is the one a
-cold call gives.
+scan for a cycle near the root.  Its walk visits successors in any order,
+since an acyclic report does not depend on it.  Only a cycle or a budget
+failure does, so then the graph is walked again from scratch with
+successors sorted, and the answer is the one a cold call gives.
+
+:func:`reach` is the one breadth-first search, for the questions that only
+ask what is reachable: iterated reduction, iterated subclosures and the
+exported edge list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, TypeVar
+from typing import Callable, Collection, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import BudgetExceeded
 
-__all__ = ["Cycle", "SnReport", "certify", "explore"]
+__all__ = ["Cycle", "SnReport", "certify", "explore", "reach"]
 
 Node = TypeVar("Node", bound=Hashable)
 
@@ -58,74 +62,24 @@ def explore(
     root: Node,
     successors: Callable[[Node], Iterable[Node]],
     budget: int,
-) -> Cycle | tuple[int, int, int]:
-    """Walk the graph from ``root``; return a Cycle or (nodes, edges, depth).
-
-    Successors are visited in the order given, which decides the cycle
-    returned and the budget failure raised first.
-    """
-
-    succ_of: dict[Node, tuple[Node, ...]] = {}
-
-    def succs(n: Node) -> tuple[Node, ...]:
-        out = succ_of.get(n)
-        if out is None:
-            out = tuple(successors(n))
-            succ_of[n] = out
-        return out
-
-    GREY, BLACK = 0, 1
-    color: dict[Node, int] = {root: GREY}
-    if budget < 1:
-        raise BudgetExceeded("traversal budget is zero")
-    stack = [(root, iter(succs(root)))]
-    path = [root]
-    finish: list[Node] = []
-    while stack:
-        node, pending = stack[-1]
-        advanced = False
-        for child in pending:
-            mark = color.get(child)
-            if mark is None:
-                color[child] = GREY
-                if len(color) > budget:
-                    raise BudgetExceeded(f"more than {budget} reachable nodes")
-                stack.append((child, iter(succs(child))))
-                path.append(child)
-                advanced = True
-                break
-            if mark == GREY:
-                return Cycle(tuple(path[path.index(child) :]))
-        if not advanced:
-            stack.pop()
-            path.pop()
-            color[node] = BLACK
-            finish.append(node)
-    depth: dict[Node, int] = {}
-    edges = 0
-    for n in finish:
-        out = succ_of[n]
-        edges += len(out)
-        depth[n] = 1 + max(depth[s] for s in out) if out else 0
-    return len(finish), edges, depth[root]
-
-
-def _walk(
-    root: Node,
-    successors: Callable[[Node], Iterable[Node]],
-    budget: int,
     sn: dict[Node, int],
-) -> tuple[int, int, int] | None:
-    """:func:`explore` over proper steps, in any order, stopping at ``sn``.
+) -> Cycle | tuple[int, int, int]:
+    """Walk the graph of proper steps from ``root`` depth-first; return a
+    Cycle or (nodes, edges, depth).
 
-    Returns (nodes, edges, depth) and adds every new node to ``sn``, or
-    returns None, leaving ``sn`` alone, on a grey edge or when more than
-    ``budget`` nodes are reachable.  ``successors`` is called on every
-    reachable node, so its ``BudgetExceeded`` propagates as in a full walk.
+    Self-steps are dropped.  Successors are visited in the order given,
+    which decides the cycle returned and the failure raised first.
+    ``BudgetExceeded`` is raised when more than ``budget`` nodes are
+    reachable, and that of ``successors`` propagates.
+
+    ``sn`` maps nodes already proved strongly normalizing to their longest
+    path and is closed under successors.  The walk stops at its nodes and
+    only counts the nodes and edges below them; on an acyclic graph every
+    new node joins ``sn``, which is left alone otherwise.
     """
 
     if budget < 1:
-        return None
+        raise BudgetExceeded(f"more than {budget} reachable nodes")
     seen = {root}
     border: list[Node] = []  # reached nodes of sn, not yet walked
     succ_of: dict[Node, tuple[Node, ...]] = {}  # new nodes' proper steps
@@ -146,12 +100,13 @@ def _walk(
         node, pending = stack[-1]
         for child in pending:
             if child in grey:
-                return None
+                path = [n for n, _ in stack]
+                return Cycle(tuple(path[path.index(child) :]))
             if child in seen:
                 continue
             seen.add(child)
             if len(seen) > budget:
-                return None
+                raise BudgetExceeded(f"more than {budget} reachable nodes")
             if child in sn:
                 border.append(child)
             else:
@@ -172,12 +127,38 @@ def _walk(
                 if s not in seen:
                     seen.add(s)
                     if len(seen) > budget:
-                        return None
+                        raise BudgetExceeded(f"more than {budget} reachable nodes")
                     border.append(s)
     for n in finish:
         out = succ_of[n]
         sn[n] = 1 + max(sn[s] for s in out) if out else 0
     return len(seen), edges, sn[root]
+
+
+def reach(
+    root: Node,
+    successors: Callable[[Node], Collection[Node]],
+    budget: int,
+) -> Iterator[tuple[Node, Collection[Node]]]:
+    """Breadth-first from ``root``: yield each reachable node with its
+    successors, before they are counted against ``budget``.
+
+    ``BudgetExceeded`` is raised when more than ``budget`` nodes are
+    reached, so the caller sees a node's successors even when counting
+    them goes over the budget.
+    """
+
+    seen = {root}
+    queue = [root]
+    for n in queue:  # the loop runs on over the nodes it appends
+        out = successors(n)
+        yield n, out
+        for s in out:
+            if s not in seen:
+                seen.add(s)
+                if len(seen) > budget:
+                    raise BudgetExceeded(f"more than {budget} reachable nodes")
+                queue.append(s)
 
 
 def certify(
@@ -248,18 +229,16 @@ def certify(
     if got is not None:
         return got
     try:
-        report = _walk(root, successors, budget, sn)
+        got = explore(root, successors, budget, sn)
     except BudgetExceeded:
-        report = None
-    if report is not None:
-        return report
+        got = None
+    if isinstance(got, tuple):
+        return got
 
-    def proper(n: Node) -> list[Node]:
-        return sorted(
-            (s for s in successors(n) if s != n), key=lambda s: (measure(s), key(s))
-        )
+    def ordered(n: Node) -> list[Node]:
+        return sorted(successors(n), key=lambda s: (measure(s), key(s)))
 
     # A cycle or a budget failure: the ordered walk finds or raises the
     # same as a cold call.  It never reports an acyclic graph here, since
     # this graph has a cycle, more than ``budget`` nodes or a failing node.
-    return explore(root, proper, budget)
+    return explore(root, ordered, budget, {})

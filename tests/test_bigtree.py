@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import random
 
-from lamcalc import Params, aaa, clear_caches, parse_env, parse_term
+import pytest
+
+from lamcalc import BudgetExceeded, Params, aaa, clear_caches, parse_env, parse_term
 from lamcalc.bigtree import (
     BigTreeReport,
     fpb_successors,
@@ -135,6 +137,12 @@ def test_fqus_examples():
     )
     assert not fqus_holds(
         Closure((), parse_term("*0")), Closure((), parse_term("*1")), 8
+    )
+    # a direct subclosure is found at any budget
+    assert fqus_holds(
+        Closure((), parse_term("(abst *0 #0)")),
+        Closure(parse_env("[dec *0]"), parse_term("#0")),
+        1,
     )
 
 
@@ -356,3 +364,6 @@ def test_fsb_graph_export():
     assert len(lines) == report.edges
     assert all(" -> " in line for line in lines)
     assert lines == sorted(lines)
+    # *0 -> *1 -> *2 is three closures
+    with pytest.raises(BudgetExceeded, match="more than 2 reachable nodes"):
+        fsb_graph(Params(budget=2), (), parse_term("*0"))

@@ -5,6 +5,7 @@ import pytest
 from lamcalc import (
     Bind,
     BindKind,
+    BudgetExceeded,
     Flat,
     FlatKind,
     FuelExhausted,
@@ -117,6 +118,11 @@ def test_cprs():
     assert cprs_holds((), OMEGA, REDUCTUM, 16)
     assert cprs_holds((), REDUCTUM, OMEGA, 16)
     assert not cprs_holds((), Sort(0), Sort(1), 16)
+    # a target one step away is found at any budget; a search past the
+    # budget raises
+    assert cprs_holds((), OMEGA, REDUCTUM, 1)
+    with pytest.raises(BudgetExceeded, match="more than 1 reachable nodes"):
+        cprs_holds((), parse_term("(cast *0 *1)"), Sort(0), 1)
 
 
 def test_conv():

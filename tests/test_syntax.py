@@ -102,6 +102,11 @@ def test_parse_error_offset():
         parse_term("(appl *0 #0) junk")
     except ParseError as e:
         assert e.offset == 13
+    # a character index: the ideographic space is one character, three
+    # bytes in UTF-8
+    with pytest.raises(ParseError, match=r"trailing input \(at character 4\)") as got:
+        parse_term("\u3000*0 x")
+    assert got.value.offset == 4
 
 
 def test_parse_rejects_garbage():

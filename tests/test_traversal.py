@@ -48,13 +48,18 @@ def test_scan_finds_the_cycle():
 
 def test_explore_finds_the_cycle_the_scan_misses():
     got = _certify(LOOP, 0, depth=0)
-    assert got == explore(0, lambda n: LOOP[n], 100) == Cycle((0, 1, 2))
+    assert got == explore(0, lambda n: LOOP[n], 100, {}) == Cycle((0, 1, 2))
+
+
+def test_explore_drops_self_steps():
+    assert explore(0, lambda n: [0], 10, {}) == (1, 0, 0)
+    assert explore(0, lambda n: [n, 1] if n == 0 else [n], 10, {}) == (2, 1, 1)
 
 
 def test_acyclic_report_is_explores_and_joins_sn():
     sn: dict[int, int] = {}
     got = _certify(DAG, 3, depth=4, sn=sn)
-    assert got == explore(3, lambda n: DAG[n], 100) == (3, 3, 2)
+    assert got == explore(3, lambda n: DAG[n], 100, {}) == (3, 3, 2)
     assert sn == {3: 2, 4: 1, 5: 0}
 
 
@@ -164,7 +169,9 @@ def test_warm_reports_match_cold_sorted_explore(case, rng: random.Random):
         got = _outcome(
             _certify, graph, root, depth=0, sn=sn, successors=shuffled, budget=budget
         )
-        cold = _outcome(explore, root, lambda n: sorted(set(graph[n]) - {n}), budget)
+        cold = _outcome(
+            explore, root, lambda n: sorted(set(graph[n]) - {n}), budget, {}
+        )
         assert got == cold, (root, sn)
         if isinstance(got, Cycle):
             assert _oracle(graph, root) is None
