@@ -9,10 +9,9 @@ checker refuses to normalize anything without one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
-from .reduction import lsub_walk
+from .reduction import _UNSET, lsub_walk
 from .terms import Bind, BindKind, Env, Flat, FlatKind, Sort, Term, Var, env_push
 
 __all__ = ["Arity", "Base", "Arrow", "aaa", "lsuba_holds"]
@@ -44,8 +43,18 @@ def aaa(env: Env, term: Term) -> Optional[Arity]:
     return _aaa(env, term)
 
 
-@lru_cache(maxsize=None)
+# Arities by environment and term; ``None`` is a result.
+_AAA: dict[Env, dict[Term, Optional[Arity]]] = {}
+
+
 def _aaa(env: Env, term: Term) -> Optional[Arity]:
+    got = _AAA.get(env, _UNSET).get(term, _UNSET)
+    if got is _UNSET:
+        got = _AAA.setdefault(env, {})[term] = _aaa_raw(env, term)
+    return got
+
+
+def _aaa_raw(env: Env, term: Term) -> Optional[Arity]:
     match term:
         case Sort(_):
             return Base()

@@ -17,13 +17,13 @@ from dataclasses import dataclass
 
 from .extended import (
     Cycle,
+    _frees,
     _seq_steps,
     _step_to,
-    frees_holds,
     lleq_holds,
     lpx_holds,
 )
-from .reduction import _guard, env_reducts, one_step
+from .reduction import _UNSET, _guard, env_reducts, one_step
 from .relocation import delift
 from .sexpr import print_env, print_term
 from .terms import (
@@ -163,7 +163,7 @@ def _successors(
     envs = env_reducts(ext, env, budget)
     # An environment reduct keeps the length, so it breaks lazy
     # equivalence exactly when it changes an entry the term refers to.
-    refs = [i for i in range(len(env)) if frees_holds(i, 0, env, term)]
+    refs = [i for i in _frees(0, env, term) if i < len(env)]
     for e2 in envs:
         if any(e2[i] != env[i] for i in refs):
             out.add(Closure(e2, term))
@@ -224,11 +224,12 @@ def _closure_seq_steps(params: Params, c: Closure):
     for t2 in _seq_steps(params.c, params.big_d, env, term):
         if t2 != term:
             yield Closure(env, t2)
-    for i, (kind, side) in enumerate(env):
-        # a step on one entry breaks lazy equivalence exactly when the
-        # term refers to that entry
-        if not frees_holds(i, 0, env, term):
-            continue
+    # a step on one entry breaks lazy equivalence exactly when the term
+    # refers to that entry
+    for i in _frees(0, env, term):
+        if i >= len(env):
+            break
+        kind, side = env[i]
         for s2 in _seq_steps(params.c, params.big_d, env[i + 1 :], side):
             if s2 != side:
                 yield Closure(env[:i] + ((kind, s2),) + env[i + 1 :], term)
@@ -245,11 +246,9 @@ CLOSURE_SCAN_DEPTH = 6
 # Closures proved strongly normalizing, with their longest path, one map per
 # sort hierarchy.
 _SN: dict[tuple[int, int], dict[Closure, int]] = {}
-# Successor sets by (hierarchy, closure), with the size of the largest
+# Successor sets by hierarchy and closure, with the size of the largest
 # reduct set each drew on.
-_SUCCESSORS: dict[
-    tuple[tuple[int, int], Closure], tuple[frozenset[Closure], int]
-] = {}
+_SUCCESSORS: dict[tuple[int, int], dict[Closure, tuple[frozenset[Closure], int]]] = {}
 
 
 def _kept_successors(params: Params, c: Closure) -> frozenset[Closure]:
@@ -258,10 +257,9 @@ def _kept_successors(params: Params, c: Closure) -> frozenset[Closure]:
     elements, so a cold and a warm call raise alike."""
 
     ext = (params.c, params.big_d)
-    key = (ext, c)
-    got = _SUCCESSORS.get(key)
+    got = _SUCCESSORS.get(ext, _UNSET).get(c)
     if got is None:
-        got = _SUCCESSORS[key] = _successors(ext, *c, sys.maxsize)
+        got = _SUCCESSORS.setdefault(ext, {})[c] = _successors(ext, *c, sys.maxsize)
     out, reducts = got
     _guard(reducts, params.budget)
     return out

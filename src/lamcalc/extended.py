@@ -13,14 +13,15 @@ extended reduction (``csx_certify``) is the property the stratified-validity
 layer leans on.  Lazy equivalence (``lleq_holds``) identifies environments
 that agree on every entry a term hereditarily refers to (``frees_holds``),
 and ``lsx_certify``/``lcosx_certify`` certify that environment reduction
-cannot change a term's referred entries forever.
+cannot change a term's referred entries forever.  The references a term
+hereditarily refers to are found once per level, environment and term,
+as one sorted tuple (``_frees``); ``frees_holds``, ``frees_indices``,
+``lleq_holds``, ``llor`` and the closure-level successors all read it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .reduction import env_reducts, one_step
+from .reduction import _UNSET, env_reducts, one_step
 from .relocation import delift, lift
 from .terms import (
     Bind,
@@ -69,17 +70,17 @@ def cpx_holds(params: Params, env: Env, t1: Term, t2: Term) -> bool:
     return _step_to(params.c, params.big_d, env, t1, t2)
 
 
-_STEP: dict[tuple[int, int, Env, Term, Term], bool] = {}
+_STEP: dict[tuple[int, int], dict[Env, dict[Term, dict[Term, bool]]]] = {}
 
 
 def _step_to(c: int, big_d: int, env: Env, t1: Term, t2: Term) -> bool:
     if t1 == t2:
         return True
-    key = (c, big_d, env, t1, t2)
-    got = _STEP.get(key)
+    got = _STEP.get((c, big_d), _UNSET).get(env, _UNSET).get(t1, _UNSET).get(t2)
     if got is None:
         got = _step_to_raw(c, big_d, env, t1, t2)
-        _STEP[key] = got
+        by_t1 = _STEP.setdefault((c, big_d), {}).setdefault(env, {})
+        by_t1.setdefault(t1, {})[t2] = got
     return got
 
 
@@ -224,8 +225,8 @@ def _seq_steps(c: int, big_d: int, env: Env, term: Term):
 CYCLE_SCAN_DEPTH = 4
 
 # Terms proved strongly normalizing, with their longest path, one map per
-# (hierarchy, environment).
-_SN: dict[tuple[tuple[int, int], Env], dict[Term, int]] = {}
+# hierarchy and environment.
+_SN: dict[tuple[int, int], dict[Env, dict[Term, int]]] = {}
 
 
 def csx_certify(params: Params, env: Env, term: Term) -> SnReport | Cycle:
@@ -251,7 +252,7 @@ def csx_certify(params: Params, env: Env, term: Term) -> SnReport | Cycle:
         depth=CYCLE_SCAN_DEPTH,
         successors=lambda t: one_step(ext, env, t, params.budget),
         budget=params.budget,
-        sn=_SN.setdefault((ext, env), {}),
+        sn=_SN.setdefault(ext, {}).setdefault(env, {}),
     )
     if isinstance(got, Cycle):
         return got
@@ -259,52 +260,96 @@ def csx_certify(params: Params, env: Env, term: Term) -> SnReport | Cycle:
     return SnReport(nodes, depth)
 
 
-@lru_cache(maxsize=None)
+# Hereditarily free references, by level, environment and term.
+_FREES: dict[int, dict[Env, dict[Term, tuple[int, ...]]]] = {}
+
+
+def _frees(l: int, env: Env, term: Term) -> tuple[int, ...]:
+    """The references hereditarily free in ``term`` at level ``l``, sorted.
+
+    The term's own free references, and for each of them at an index
+    ``j`` with ``l <= j < len(env)``, the references of the entry's side
+    in its own outer environment at level 0, shifted by ``j + 1``.  A
+    tuple of ints rather than a bitmask, whose width would be the largest
+    index, or a frozenset, which the garbage collector tracks for life.
+    """
+
+    got = _FREES.get(l, _UNSET).get(env, _UNSET).get(term)
+    if got is None:
+        own: set[int] = set()
+        _own_frees(term, 0, own)
+        out = set(own)
+        for j in own:
+            if l <= j < len(env):
+                out.update(j + 1 + k for k in _frees(0, env[j + 1 :], env[j][1]))
+        got = _FREES.setdefault(l, {}).setdefault(env, {})[term] = tuple(sorted(out))
+    return got
+
+
+def _own_frees(term: Term, depth: int, out: set[int]) -> None:
+    """Add the free references of ``term``, read under ``depth`` binders."""
+
+    match term:
+        case Var(i) if i >= depth:
+            out.add(i - depth)
+        case Bind(_, side, body):
+            _own_frees(side, depth, out)
+            _own_frees(body, depth + 1, out)
+        case Flat(_, side, body):
+            _own_frees(side, depth, out)
+            _own_frees(body, depth, out)
+
+
+def _natural(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be a natural")
+
+
 def frees_holds(i: int, l: int, env: Env, term: Term) -> bool:
     """Is reference ``i`` hereditarily free in ``term`` at level ``l``?
 
-    Either ``i`` occurs in the term itself (delift fails), or the term
-    refers — at or above the level — to an entry whose side refers on.
+    Either ``i`` occurs in the term itself, or the term refers — at or
+    above the level — to an entry whose side refers on.  Raises
+    ``ValueError`` when ``i`` or ``l`` is negative.
     """
 
-    if delift(i, 1, term) is None:
-        return True
-    for j in range(l, min(i, len(env))):
-        if delift(j, 1, term) is None and frees_holds(
-            i - j - 1, 0, env[j + 1 :], env[j][1]
-        ):
-            return True
-    return False
+    _natural("reference i", i)
+    _natural("level l", l)
+    return i in _frees(l, env, term)
 
 
 def frees_indices(l: int, env: Env, term: Term, bound: int) -> frozenset[int]:
-    """The hereditarily free references below ``bound``."""
+    """The hereditarily free references below ``bound``.  Raises
+    ``ValueError`` when ``l`` is negative."""
 
-    return frozenset(i for i in range(bound) if frees_holds(i, l, env, term))
+    _natural("level l", l)
+    return frozenset(i for i in _frees(l, env, term) if i < bound)
 
 
 def lleq_holds(l: int, term: Term, env1: Env, env2: Env) -> bool:
     """Lazy equivalence: same length, and identical entries at every index
-    ``>= l`` the term hereditarily refers to in ``env1``."""
+    ``>= l`` the term hereditarily refers to in ``env1``.  Raises
+    ``ValueError`` when ``l`` is negative."""
 
+    _natural("level l", l)
     if len(env1) != len(env2):
         return False
     return all(
-        env1[i] == env2[i]
-        for i in range(l, len(env1))
-        if frees_holds(i, l, env1, term)
+        env1[i] == env2[i] for i in _frees(l, env1, term) if l <= i < len(env1)
     )
 
 
 def llor(l: int, term: Term, env1: Env, env2: Env) -> Env | None:
     """Pointwise union: referred entries at or above the level come from
-    ``env2``, all others from ``env1``; defined iff lengths agree."""
+    ``env2``, all others from ``env1``; defined iff lengths agree.  Raises
+    ``ValueError`` when ``l`` is negative."""
 
+    _natural("level l", l)
     if len(env1) != len(env2):
         return None
+    refs = _frees(l, env1, term)
     return tuple(
-        env2[i] if i >= l and frees_holds(i, l, env1, term) else env1[i]
-        for i in range(len(env1))
+        env2[i] if i >= l and i in refs else env1[i] for i in range(len(env1))
     )
 
 

@@ -1,16 +1,28 @@
 """The memo tables of lamcalc, and :func:`clear_caches` to empty them.
 
-Every memo table is process-global: a module-level ``dict`` or ``set``,
-or a ``functools.lru_cache`` function.  No result depends on what they
-hold, only the time it takes to get it.  They are listed here rather
-than registered by the modules that hold them, so that those modules do
-not all reach one shared list: whatever keeps one of them alive (a type
-cache keeping its classes after a re-import, say) keeps only that one.
+Every memo table is process-global: a module-level ``dict``.  No result
+depends on what they hold, only the time it takes to get it.  They are
+listed here rather than registered by the modules that hold them, so that
+those modules do not all reach one shared list: whatever keeps one of
+them alive (a type cache keeping its classes after a re-import, say)
+keeps only that one.
+
+A table is nested one dict level per argument, the few-valued arguments
+(a sort hierarchy, a level) first, then the environment, then the term,
+with the result at the leaf: ``_ONE_STEP[ext][env][term]``, say, rather
+than ``_ONE_STEP[(ext, env, term)]``.  A dict keeps only the first of
+equal keys, so each environment and term is held once per level however
+many entries share it, where a key tuple per entry would hold its own
+copy.  Terms are tuples the cyclic garbage collector always tracks, and
+so is every tuple that holds one: a million key tuples and the copies
+they pin made each full collection re-scan a million objects.  Lookups
+chain ``.get`` calls whose default, ``reduction._UNSET``, is an empty
+mapping that also marks a miss where ``None`` is a result.
 """
 
 from __future__ import annotations
 
-from . import arity, bigtree, extended, props, reduction, statics
+from . import arity, bigtree, extended, reduction, statics
 
 __all__ = ["TABLES", "clear_caches"]
 
@@ -19,15 +31,14 @@ TABLES = (
     reduction._ONE_STEP,
     reduction._FULL,
     reduction._NF,
-    statics._lstas,
-    statics._da,
-    arity._aaa,
+    statics._LSTAS,
+    statics._DA,
+    arity._AAA,
     extended._STEP,
     extended._SN,
-    extended.frees_holds,
+    extended._FREES,
     bigtree._SN,
     bigtree._SUCCESSORS,
-    props._lleq_recursive,
 )
 
 
@@ -35,4 +46,4 @@ def clear_caches() -> None:
     """Empty every memo table, certificates included."""
 
     for table in TABLES:
-        (getattr(table, "cache_clear", None) or table.clear)()
+        table.clear()

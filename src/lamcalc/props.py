@@ -11,7 +11,6 @@ lazy-equivalence laws, and the static-type laws.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable
 
 from .arity import aaa
@@ -172,7 +171,6 @@ def suite_subject_reduction(
     return sorted(bad)
 
 
-@lru_cache(maxsize=None)
 def _lleq_recursive(l: int, term: Term, env1: Env, env2: Env) -> bool:
     """Lazy equivalence by its recursive rules — the cross-check for the
     quantifier characterization used by ``lleq_holds``."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import prod
+from types import MappingProxyType
 from typing import Callable, Optional
 
 from .errors import BudgetExceeded, FuelExhausted
@@ -63,9 +64,15 @@ DEFAULT_FUEL = 1000
 # the sort hierarchy ``(c, big_d)`` of the extended relation.
 Ext = Optional[tuple[int, int]]
 
-_ONE_STEP: dict[tuple[Ext, Env, Term], frozenset[Term]] = {}
-_FULL: dict[tuple[Env, Term], Term] = {}
-_NF: dict[tuple[Env, Term], Term] = {}
+# The memo tables are nested one level per argument (see lamcalc.memo).
+_ONE_STEP: dict[Ext, dict[Env, dict[Term, frozenset[Term]]]] = {}
+_FULL: dict[Env, dict[Term, Term]] = {}
+_NF: dict[Env, dict[Term, tuple[Term, int]]] = {}
+
+# The default of every ``.get`` in a lookup through nested memo tables: a
+# level that holds nothing yet reads as this empty mapping, and a miss at
+# the leaf as this same object, which no table stores as a result.
+_UNSET = MappingProxyType({})
 
 
 def _guard(n: int, budget: int) -> None:
@@ -87,10 +94,10 @@ def one_step(ext: Ext, env: Env, term: Term, budget: int) -> frozenset[Term]:
     changes when it raises, not whether.
     """
 
-    key = (ext, env, term)
-    got = _ONE_STEP.get(key)
+    got = _ONE_STEP.get(ext, _UNSET).get(env, _UNSET).get(term)
     if got is None:
-        got = _ONE_STEP[key] = _enumerate(ext, env, term, budget)
+        got = _enumerate(ext, env, term, budget)
+        _ONE_STEP.setdefault(ext, {}).setdefault(env, {})[term] = got
     _guard(len(got), budget)
     return got
 
@@ -200,11 +207,9 @@ def cpr_full(env: Env, term: Term) -> Term:
     """Maximal development: develop every subterm, then contract the top
     redex, preferring zeta, then beta, theta, eps, delta."""
 
-    key = (env, term)
-    got = _FULL.get(key)
+    got = _FULL.get(env, _UNSET).get(term)
     if got is None:
-        got = _full(env, term)
-        _FULL[key] = got
+        got = _FULL.setdefault(env, {})[term] = _full(env, term)
     return got
 
 
@@ -254,20 +259,27 @@ def _full(env: Env, term: Term) -> Term:
 
 
 def normalize(env: Env, term: Term, fuel: int = DEFAULT_FUEL) -> Term:
-    """Iterate cpr_full to a fixpoint; raise FuelExhausted past ``fuel``."""
+    """Iterate cpr_full to a fixpoint; raise FuelExhausted past ``fuel``.
 
-    key = (env, term)
-    got = _NF.get(key)
-    if got is not None:
-        return got
-    t = term
-    for _ in range(fuel + 1):
-        t2 = cpr_full(env, t)
-        if t2 == t:
-            _NF[key] = t
-            return t
-        t = t2
-    raise FuelExhausted(f"no normal form within {fuel} rounds")
+    The memo table keeps the number of rounds each normal form took, so a
+    warm call runs out of fuel where a cold one would.
+    """
+
+    got = _NF.get(env, _UNSET).get(term)
+    if got is None:
+        t = term
+        for rounds in range(fuel + 1):
+            t2 = cpr_full(env, t)
+            if t2 == t:
+                break
+            t = t2
+        else:
+            raise FuelExhausted(f"no normal form within {fuel} rounds")
+        got = _NF.setdefault(env, {})[term] = (t, rounds)
+    nf, rounds = got
+    if rounds > fuel:
+        raise FuelExhausted(f"no normal form within {fuel} rounds")
+    return nf
 
 
 def cprs_holds(env: Env, t1: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> bool:

@@ -11,10 +11,9 @@ hereditarily resolvable in the environment.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional
 
-from .reduction import lsub_walk
+from .reduction import _UNSET, lsub_walk
 from .relocation import lift
 from .terms import (
     Bind,
@@ -44,8 +43,21 @@ def lstas(params: Params, env: Env, term: Term, n: int) -> Optional[Term]:
     return _lstas(params.c, env, term, n)
 
 
-@lru_cache(maxsize=None)
+# Static types by (sort step, iteration count), environment and term; and
+# degrees by hierarchy, environment and term.  ``None`` is a result.
+_LSTAS: dict[tuple[int, int], dict[Env, dict[Term, Optional[Term]]]] = {}
+_DA: dict[tuple[int, int], dict[Env, dict[Term, Optional[int]]]] = {}
+
+
 def _lstas(c: int, env: Env, term: Term, n: int) -> Optional[Term]:
+    got = _LSTAS.get((c, n), _UNSET).get(env, _UNSET).get(term, _UNSET)
+    if got is _UNSET:
+        got = _lstas_raw(c, env, term, n)
+        _LSTAS.setdefault((c, n), {}).setdefault(env, {})[term] = got
+    return got
+
+
+def _lstas_raw(c: int, env: Env, term: Term, n: int) -> Optional[Term]:
     match term:
         case Sort(k):
             return Sort(k + n * c)
@@ -88,8 +100,15 @@ def da(params: Params, env: Env, term: Term) -> Optional[int]:
     return _da(params.c, params.big_d, env, term)
 
 
-@lru_cache(maxsize=None)
 def _da(c: int, big_d: int, env: Env, term: Term) -> Optional[int]:
+    got = _DA.get((c, big_d), _UNSET).get(env, _UNSET).get(term, _UNSET)
+    if got is _UNSET:
+        got = _da_raw(c, big_d, env, term)
+        _DA.setdefault((c, big_d), {}).setdefault(env, {})[term] = got
+    return got
+
+
+def _da_raw(c: int, big_d: int, env: Env, term: Term) -> Optional[int]:
     match term:
         case Sort(k):
             d = big_d - k // c

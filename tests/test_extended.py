@@ -34,6 +34,7 @@ from lamcalc.extended import (
     lsx_certify,
 )
 from lamcalc.reduction import cpr_reducts
+from lamcalc.relocation import delift
 from lamcalc.statics import da, lstas
 from lamcalc.universe import enumerate_closures, enumerate_envs, enumerate_terms
 
@@ -271,6 +272,71 @@ def test_frees_indices():
     assert frees_indices(0, env, Var(0), 4) == {0, 1}
     assert frees_indices(0, env, Sort(3), 4) == frozenset()
     assert frees_indices(0, (), parse_term("(abst *0 #1)"), 3) == {0}
+
+
+# --- hereditarily free references by occurrence tests, used as an oracle
+
+
+@lru_cache(maxsize=None)
+def _frees_oracle(i, l, env, term):
+    if delift(i, 1, term) is None:
+        return True
+    for j in range(l, min(i, len(env))):
+        if delift(j, 1, term) is None and _frees_oracle(
+            i - j - 1, 0, env[j + 1 :], env[j][1]
+        ):
+            return True
+    return False
+
+
+def test_frees_agree_with_occurrence_oracle():
+    """``frees_holds``, ``frees_indices``, ``lleq_holds`` and ``llor``
+    against the occurrence tests, for every level 0..3, every reference
+    up to three past the environment, and every environment one extended
+    step away."""
+
+    try:
+        for env, t in enumerate_closures(3, 2, 1):
+            envs2 = lpx_reducts(P, env)
+            for l in range(4):
+                expect = {i for i in range(len(env) + 4) if _frees_oracle(i, l, env, t)}
+                assert frees_indices(l, env, t, len(env) + 4) == expect, (env, t, l)
+                for i in range(len(env) + 4):
+                    assert frees_holds(i, l, env, t) == (i in expect)
+                refs = [i for i in range(l, len(env)) if i in expect]
+                for env2 in envs2:
+                    assert lleq_holds(l, t, env, env2) == all(
+                        env[i] == env2[i] for i in refs
+                    )
+                    assert llor(l, t, env, env2) == tuple(
+                        env2[i] if i in refs else env[i] for i in range(len(env))
+                    )
+    finally:
+        _frees_oracle.cache_clear()
+
+
+def test_frees_reject_negative_references_and_levels():
+    t = parse_term("(abbr *0 #0)")
+    with pytest.raises(ValueError):
+        frees_holds(-1, 0, (), t)
+    with pytest.raises(ValueError):
+        frees_holds(0, -1, (), t)
+    with pytest.raises(ValueError):
+        frees_indices(-1, (), t, 3)
+    with pytest.raises(ValueError):
+        lleq_holds(-1, t, (), ())
+    with pytest.raises(ValueError):
+        llor(-1, t, (), ())
+
+
+def test_frees_of_a_reference_with_a_huge_index():
+    big = int("9" * 4000)
+    env = parse_env(f"[dec #{big}]")
+    assert frees_holds(big + 1, 0, env, Var(0))
+    assert not frees_holds(big, 0, env, Var(0))
+    assert frees_indices(0, env, Var(0), big + 2) == {0, big + 1}
+    assert not lleq_holds(0, Var(0), env, parse_env(f"[dec #{big - 1}]"))
+    assert llor(0, Var(0), env, parse_env("[dec *0]")) == parse_env("[dec *0]")
 
 
 def test_lleq_sorts_need_equal_length_only():

@@ -8,13 +8,35 @@ import json
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from lamcalc import BudgetExceeded, Params, aaa, clear_caches, parse_term
+from lamcalc import (
+    BindKind,
+    BudgetExceeded,
+    Closure,
+    FuelExhausted,
+    Params,
+    Term,
+    aaa,
+    clear_caches,
+    parse_term,
+)
 from lamcalc import bigtree, extended, memo
 from lamcalc.bigtree import _fpb_holds, fsb_certify
-from lamcalc.extended import Cycle, cpx_holds, csx_certify
-from lamcalc.universe import enumerate_closures
+from lamcalc.extended import (
+    Cycle,
+    cpx_holds,
+    cpx_reducts,
+    csx_certify,
+    lleq_holds,
+    lpx_reducts,
+)
+from lamcalc.props import SUITES, run_suite
+from lamcalc.reduction import cpr_full, normalize
+from lamcalc.statics import da, lstas
+from lamcalc.universe import enumerate_closures, env_key
 
 P = Params()
 
@@ -155,3 +177,110 @@ print(json.dumps([r().__qualname__ for refs in old[:-1] for r in refs if r()]))
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert json.loads(done.stdout) == []
+
+
+# --- cold and warm tables
+
+
+CLOSURES = list(enumerate_closures(3, 2, 1))
+
+QUERIES = {
+    "lstas": lambda env, t, k: lstas(P, env, t, k % 4),
+    "da": lambda env, t, k: da(P, env, t),
+    "aaa": lambda env, t, k: aaa(env, t),
+    "cpx_reducts": lambda env, t, k: cpx_reducts(Params(budget=k), env, t),
+    "cpr_full": lambda env, t, k: cpr_full(env, t),
+    "normalize": lambda env, t, k: normalize(env, t, k // 4),
+    "lleq_holds": lambda env, t, k: _lleq(env, t, k),
+}
+
+
+def _lleq(env, t, k):
+    envs = sorted(lpx_reducts(P, env), key=env_key)
+    return lleq_holds(k % 3, t, env, envs[k % len(envs)])
+
+
+def _answer(name, env, t, k):
+    try:
+        return QUERIES[name](env, t, k)
+    except (BudgetExceeded, FuelExhausted) as e:
+        return ("raised", type(e).__name__, str(e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(sorted(QUERIES)),
+            st.integers(0, len(CLOSURES) - 1),
+            st.integers(1, 12),
+        ),
+        min_size=1,
+        max_size=25,
+    )
+)
+def test_warm_tables_answer_as_cold_ones(calls):
+    """A run of queries in any order answers each one as it would from
+    empty tables, also right after the same query at the largest budget
+    and fuel."""
+
+    clear_caches()
+    warm = []
+    for name, n, k in calls:
+        _answer(name, *CLOSURES[n], 12)
+        warm.append(_answer(name, *CLOSURES[n], k))
+    cold = []
+    for name, n, k in calls:
+        clear_caches()
+        cold.append(_answer(name, *CLOSURES[n], k))
+    assert warm == cold
+
+
+def test_fuel_holds_on_warm_tables():
+    t = parse_term("(cast *0 (cast *0 *1))")
+    clear_caches()
+    with pytest.raises(FuelExhausted):
+        normalize((), t, 0)
+    assert normalize((), t) == parse_term("*1")
+    with pytest.raises(FuelExhausted):
+        normalize((), t, 0)
+
+
+def _is_env(key) -> bool:
+    return type(key) is tuple and all(
+        type(e) is tuple
+        and len(e) == 2
+        and isinstance(e[0], BindKind)
+        and isinstance(e[1], Term)
+        for e in key
+    )
+
+
+def _tuple_keys(table):
+    for key, value in table.items():
+        if isinstance(key, tuple):
+            yield key
+        if isinstance(value, dict):
+            yield from _tuple_keys(value)
+
+
+def test_memo_tables_hold_no_key_tuple_per_entry():
+    """After a small sweep, every tuple key of every memo table, at every
+    level, is a term, an environment, a closure or a tuple of ints: no
+    table keys an entry by a tuple of its arguments."""
+
+    clear_caches()
+    for name in SUITES:
+        run_suite(name, P, 2, 2, 0)
+    assert all(memo.TABLES)
+    bad = [
+        key
+        for table in memo.TABLES
+        for key in _tuple_keys(table)
+        if not (
+            isinstance(key, (Term, Closure))
+            or _is_env(key)
+            or all(type(x) is int for x in key)
+        )
+    ]
+    assert bad == []
