@@ -15,6 +15,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
+from .arity import aaa
 from .extended import (
     Cycle,
     _frees,
@@ -275,7 +276,9 @@ def fsb_certify(params: Params, env: Env, term: Term) -> BigTreeReport | Cycle:
     scan of single-redex closure steps to :data:`CLOSURE_SCAN_DEPTH`,
     asking at each closure whether one proper step — parallel reduction,
     observed environment reduction, or subclosure descent — returns to the
-    path, then the graph of :func:`fpb_successors`.
+    path, then the graph of :func:`fpb_successors`.  A closure whose term
+    has an atomic arity is strongly normalizing, so its graph is walked
+    first and the scan runs only if the walk fails; the answer is the same.
     """
 
     got = certify(
@@ -288,6 +291,7 @@ def fsb_certify(params: Params, env: Env, term: Term) -> BigTreeReport | Cycle:
         successors=lambda c: _kept_successors(params, c),
         budget=params.budget,
         sn=_SN.setdefault((params.c, params.big_d), {}),
+        walk_first=aaa(env, term) is not None,
     )
     if isinstance(got, Cycle):
         return got

@@ -21,6 +21,7 @@ as one sorted tuple (``_frees``); ``frees_holds``, ``frees_indices``,
 
 from __future__ import annotations
 
+from .arity import aaa
 from .reduction import _UNSET, env_reducts, one_step
 from .relocation import delift, lift
 from .terms import (
@@ -237,7 +238,9 @@ def csx_certify(params: Params, env: Env, term: Term) -> SnReport | Cycle:
     because branching is finite.  Run by :func:`lamcalc.traversal.certify`:
     a scan of single-redex steps to :data:`CYCLE_SCAN_DEPTH`, asking at each
     term whether one parallel step returns to the path (decided by matching,
-    without enumerating reduct sets), then the parallel-step graph.
+    without enumerating reduct sets), then the parallel-step graph.  A term
+    with an atomic arity is strongly normalizing, so its graph is walked
+    first and the scan runs only if the walk fails; the answer is the same.
     Terms certified by one call are known to be strongly normalizing in
     every later call over the same environment and sort hierarchy.
     """
@@ -253,6 +256,7 @@ def csx_certify(params: Params, env: Env, term: Term) -> SnReport | Cycle:
         successors=lambda t: one_step(ext, env, t, params.budget),
         budget=params.budget,
         sn=_SN.setdefault(ext, {}).setdefault(env, {}),
+        walk_first=aaa(env, term) is not None,
     )
     if isinstance(got, Cycle):
         return got

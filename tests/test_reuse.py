@@ -5,6 +5,7 @@ or on the order of the calls."""
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 
@@ -21,12 +22,14 @@ from lamcalc import (
     Term,
     aaa,
     clear_caches,
+    parse_env,
     parse_term,
 )
 from lamcalc import bigtree, extended, memo
-from lamcalc.bigtree import _fpb_holds, fsb_certify
+from lamcalc.bigtree import BigTreeReport, _fpb_holds, fsb_certify
 from lamcalc.extended import (
     Cycle,
+    SnReport,
     cpx_holds,
     cpx_reducts,
     csx_certify,
@@ -43,6 +46,23 @@ P = Params()
 OMEGA = parse_term("(appl (abst *0 (appl #0 #0)) (abst *0 (appl #0 #0)))")
 OMEGA_K = parse_term(
     "(appl (abst *0 (appl *1 (appl #0 #0))) (abst *0 (appl *1 (appl #0 #0))))"
+)
+
+# The cycles the certifiers report for the loops: the scan finds both.
+OMEGA_CYCLE = Cycle(
+    (OMEGA, parse_term("(abbr (cast *0 (abst *0 (appl #0 #0))) (appl #0 #0))"))
+)
+_DELTA_K = parse_env("[def (abst *0 (appl *1 (appl #0 #0)))]")
+OMEGA_K_CYCLE = Cycle(
+    tuple(
+        Closure(_DELTA_K, parse_term(t))
+        for t in (
+            "(appl *1 (appl #0 #0))",
+            "(appl #0 #0)",
+            "(appl #0 (abst *0 (appl *1 (appl #0 #0))))",
+            "(abbr (cast *0 #0) (appl *1 (appl #0 #0)))",
+        )
+    )
 )
 
 # Typed closures at the release gate's bounds (size 4, environments of
@@ -81,13 +101,13 @@ def test_loops_found_on_warm_tables():
     assert (csx_certify(P, (), OMEGA), fsb_certify(P, (), OMEGA_K)) == cold
 
     got = csx_certify(P, (), OMEGA)
-    assert isinstance(got, Cycle) and len(set(got.path)) == len(got.path) >= 2
+    assert got == OMEGA_CYCLE
     loop = list(got.path) + [got.path[0]]
     for a, b in zip(loop, loop[1:]):
         assert a != b and cpx_holds(P, (), a, b)
 
     got = fsb_certify(P, (), OMEGA_K)
-    assert isinstance(got, Cycle) and len(set(got.path)) == len(got.path) >= 2
+    assert got == OMEGA_K_CYCLE
     loop = list(got.path) + [got.path[0]]
     for a, b in zip(loop, loop[1:]):
         assert a != b and _fpb_holds(P, a, b)
@@ -115,6 +135,47 @@ def test_budget_holds_on_warm_tables(certify, loop):
     certify(P, (), parse_term("(abst *1 #0)"))
     with pytest.raises(BudgetExceeded):
         certify(Params(budget=5), (), parse_term("(abst *1 #0)"))
+
+
+def test_walking_first_changes_no_answer(monkeypatch):
+    """Typed and untyped gate closures, at the default budget and at tiny
+    ones: each answer, report, cycle or budget failure, is the one the
+    scan-first order gives."""
+
+    pool = list(enumerate_closures(4, 2, 1))
+    rng = random.Random(15)
+    untyped = [c for c in pool if aaa(*c) is None]
+    cases = [
+        (certify, env, t)
+        for env, t in rng.sample(TYPED, 20) + rng.sample(untyped, 20)
+        for certify in (fsb_certify, csx_certify)
+    ] + [(fsb_certify, (), OMEGA_K), (csx_certify, (), OMEGA)]
+    params = [P] + [Params(budget=b) for b in (1, 2, 5, 12)]
+
+    def answers():
+        clear_caches()
+        return [_outcome(f, p, env, t) for f, env, t in cases for p in params]
+
+    walked = answers()
+    assert any(isinstance(a, (BigTreeReport, SnReport)) for a in walked)
+    assert any(isinstance(a, Cycle) for a in walked)
+    assert any(a[0] == "raised" for a in walked if isinstance(a, tuple))
+    # every root looks untyped, so each one scans before it walks
+    monkeypatch.setattr(bigtree, "aaa", lambda env, term: None)
+    monkeypatch.setattr(extended, "aaa", lambda env, term: None)
+    assert answers() == walked
+
+
+def test_cold_typed_roots_never_scan(monkeypatch):
+    def unused(*_):
+        raise AssertionError("a typed root should be certified by its walk")
+
+    monkeypatch.setattr(bigtree, "_closure_seq_steps", unused)
+    monkeypatch.setattr(extended, "_seq_steps", unused)
+    for env, t in SAMPLE[::7]:
+        clear_caches()
+        assert isinstance(fsb_certify(P, env, t), BigTreeReport)
+        assert isinstance(csx_certify(P, env, t), SnReport)
 
 
 def test_clear_caches_covers_every_memo_table():
@@ -192,6 +253,8 @@ QUERIES = {
     "cpr_full": lambda env, t, k: cpr_full(env, t),
     "normalize": lambda env, t, k: normalize(env, t, k // 4),
     "lleq_holds": lambda env, t, k: _lleq(env, t, k),
+    "fsb_certify": lambda env, t, k: fsb_certify(Params(budget=k), env, t),
+    "csx_certify": lambda env, t, k: csx_certify(Params(budget=k), env, t),
 }
 
 
