@@ -277,8 +277,8 @@ def fsb_certify(params: Params, env: Env, term: Term) -> BigTreeReport | Cycle:
     asking at each closure whether one proper step — parallel reduction,
     observed environment reduction, or subclosure descent — returns to the
     path, then the graph of :func:`fpb_successors`.  A closure whose term
-    has an atomic arity is strongly normalizing, so its graph is walked
-    first and the scan runs only if the walk fails; the answer is the same.
+    has an atomic arity is strongly normalizing, so the scan could only
+    miss there: it is skipped (depth 0), and the answer is the same.
     """
 
     got = certify(
@@ -287,11 +287,10 @@ def fsb_certify(params: Params, env: Env, term: Term) -> BigTreeReport | Cycle:
         key=closure_key,
         skeleton=lambda c: _closure_seq_steps(params, c),
         closes=lambda c, back: _fpb_holds(params, c, back),
-        depth=CLOSURE_SCAN_DEPTH,
+        depth=0 if aaa(env, term) is not None else CLOSURE_SCAN_DEPTH,
         successors=lambda c: _kept_successors(params, c),
         budget=params.budget,
         sn=_SN.setdefault((params.c, params.big_d), {}),
-        walk_first=aaa(env, term) is not None,
     )
     if isinstance(got, Cycle):
         return got

@@ -239,8 +239,8 @@ def csx_certify(params: Params, env: Env, term: Term) -> SnReport | Cycle:
     a scan of single-redex steps to :data:`CYCLE_SCAN_DEPTH`, asking at each
     term whether one parallel step returns to the path (decided by matching,
     without enumerating reduct sets), then the parallel-step graph.  A term
-    with an atomic arity is strongly normalizing, so its graph is walked
-    first and the scan runs only if the walk fails; the answer is the same.
+    with an atomic arity is strongly normalizing, so the scan could only
+    miss there: it is skipped (depth 0), and the answer is the same.
     Terms certified by one call are known to be strongly normalizing in
     every later call over the same environment and sort hierarchy.
     """
@@ -252,11 +252,10 @@ def csx_certify(params: Params, env: Env, term: Term) -> SnReport | Cycle:
         key=term_key,
         skeleton=lambda t: _seq_steps(params.c, params.big_d, env, t),
         closes=lambda t, back: _step_to(params.c, params.big_d, env, t, back),
-        depth=CYCLE_SCAN_DEPTH,
+        depth=0 if aaa(env, term) is not None else CYCLE_SCAN_DEPTH,
         successors=lambda t: one_step(ext, env, t, params.budget),
         budget=params.budget,
         sn=_SN.setdefault(ext, {}).setdefault(env, {}),
-        walk_first=aaa(env, term) is not None,
     )
     if isinstance(got, Cycle):
         return got

@@ -12,15 +12,11 @@ successors.  The walk stops at those nodes, taking their longest path from
 every node of each finite acyclic graph joins ``sn``, so later walks under
 the same relation reuse earlier certificates.
 
-``certify`` runs that walk for terms and closures alike, together with a
-cheap scan for a cycle near the root.  The scan comes first by default; a
-caller that expects the root to be strongly normalizing (a term with an
-atomic arity, say) walks first, since there the scan can only miss.  The
-walk visits successors in any order, since an acyclic report does not
-depend on it, and runs at most once.  Only a cycle or a budget failure
-depends on the order: unless the scan finds a cycle, the graph is then
-walked again from scratch with successors sorted, and the answer is the
-one a cold call gives.
+``certify`` runs that walk for terms and closures alike, after a cheap
+scan for a cycle near the root.  Its walk visits successors in any order,
+since an acyclic report does not depend on it.  Only a cycle or a budget
+failure does, so then the graph is walked again from scratch with
+successors sorted, and the answer is the one a cold call gives.
 
 :func:`reach` is the one breadth-first search, for the questions that only
 ask what is reachable: iterated reduction, iterated subclosures and the
@@ -176,31 +172,20 @@ def certify(
     successors: Callable[[Node], Iterable[Node]],
     budget: int,
     sn: dict[Node, int],
-    walk_first: bool = False,
 ) -> Cycle | tuple[int, int, int]:
     """Certify that no infinite chain of proper steps leaves ``root``.
 
     Returns a Cycle or, like :func:`explore`, (nodes, edges, depth) of the
     finite acyclic reachable graph.  Self-steps are never proper steps and
-    are dropped from every successor set.  Two stages, scan then walk, or
-    walk then scan when ``walk_first`` is set:
+    are dropped from every successor set.  Two stages, in order:
 
-    * The scan walks the single-redex ``skeleton`` steps to ``depth``,
-      among nodes of measure at most the root's plus
-      :data:`CYCLE_SCAN_SLACK`, asking at each node whether one proper step
-      ``closes`` back onto a node on the current path.  A hit is a genuine
-      cycle; a miss proves nothing.
-    * The walk explores the graph of ``successors``.  Its report is exact;
-      when the graph is too large or infinite, the ``budget`` stops it.
-
-    The stage order does not change the answer.  The walk reports only a
-    finite acyclic graph within budget, and its report does not depend on
-    the visiting order; on such a graph the scan, which finds only genuine
-    cycles, finds none.  A walk that fails leaves ``sn`` untouched, so the
-    scan after it sees what it would have seen first.  Walking first saves
-    the scan on roots that are strongly normalizing, and costs one failed
-    walk on a loop, which the scan would have caught cheaply: callers set
-    ``walk_first`` only where they expect strong normalization.
+    1. Walk the single-redex ``skeleton`` steps to ``depth``, among nodes
+       of measure at most the root's plus :data:`CYCLE_SCAN_SLACK`, asking
+       at each node whether one proper step ``closes`` back onto a node on
+       the current path.  A hit is a genuine cycle; a miss proves nothing.
+       At ``depth`` 0 it calls neither ``skeleton`` nor ``closes``.
+    2. Explore the graph of ``successors``.  Its report is exact; when
+       the graph is too large or infinite, the ``budget`` stops the walk.
 
     Where order matters, steps are taken by ``measure``, then ``key``, so
     results are deterministic.
@@ -212,9 +197,8 @@ def certify(
     normalizing too, so the first cycle found is the same.  The
     exploration walks the new nodes in any order and stops at ``sn``
     nodes, counting what lies below them; when it finds no cycle, every
-    new node joins ``sn`` with its longest path.  It runs at most once:
-    when it meets a cycle or a budget failure, and the scan finds no
-    cycle, the whole graph is walked again in order, without ``sn``, so
+    new node joins ``sn`` with its longest path.  On a cycle or a budget
+    failure it walks the whole graph again in order, without ``sn``, so
     no report, cycle or failure depends on what ``sn`` held.
     """
 
@@ -242,19 +226,14 @@ def certify(
             path.pop()
         return None
 
-    def walk() -> tuple[int, int, int] | None:
-        try:
-            got = explore(root, successors, budget, sn)
-        except BudgetExceeded:
-            return None
-        return got if isinstance(got, tuple) else None
-
-    if walk_first and (got := walk()) is not None:
-        return got
     got = scan(root, depth)
     if got is not None:
         return got
-    if not walk_first and (got := walk()) is not None:
+    try:
+        got = explore(root, successors, budget, sn)
+    except BudgetExceeded:
+        got = None
+    if isinstance(got, tuple):
         return got
 
     def ordered(n: Node) -> list[Node]:

@@ -16,9 +16,7 @@ LOOP = {0: [1], 1: [2], 2: [0]}
 DAG = {3: [4, 5], 4: [5], 5: []}
 
 
-def _certify(
-    graph, root, *, depth, sn=None, successors=None, budget=100, walk_first=False
-):
+def _certify(graph, root, *, depth, sn=None, successors=None, budget=100):
     return certify(
         root,
         measure=lambda n: 0,
@@ -29,7 +27,6 @@ def _certify(
         successors=successors or (lambda n: graph[n]),
         budget=budget,
         sn={} if sn is None else sn,
-        walk_first=walk_first,
     )
 
 
@@ -54,22 +51,6 @@ def test_explore_finds_the_cycle_the_scan_misses():
     assert got == explore(0, lambda n: LOOP[n], 100, {}) == Cycle((0, 1, 2))
 
 
-def test_each_walk_runs_once_when_the_scan_misses():
-    """A set-order walk and an ordered one, each stepping once from every
-    node of the loop, in either stage order."""
-
-    for walk_first in (False, True):
-        calls = []
-
-        def counted(n):
-            calls.append(n)
-            return LOOP[n]
-
-        got = _certify(LOOP, 0, depth=0, successors=counted, walk_first=walk_first)
-        assert got == Cycle((0, 1, 2))
-        assert sorted(calls) == [0, 0, 1, 1, 2, 2]
-
-
 def test_explore_drops_self_steps():
     assert explore(0, lambda n: [0], 10, {}) == (1, 0, 0)
     assert explore(0, lambda n: [n, 1] if n == 0 else [n], 10, {}) == (2, 1, 1)
@@ -82,9 +63,12 @@ def test_acyclic_report_is_explores_and_joins_sn():
     assert sn == {3: 2, 4: 1, 5: 0}
 
 
-def test_walk_first_skips_the_scan_on_an_acyclic_graph():
+def test_depth_zero_skips_the_scan():
+    """The certifiers pass depth 0 for roots known to be strongly
+    normalizing: the walk alone certifies them."""
+
     def unused(*_):
-        raise AssertionError("the walk should have certified the root")
+        raise AssertionError("the scan should take no step at depth 0")
 
     sn: dict[int, int] = {}
     got = certify(
@@ -93,30 +77,13 @@ def test_walk_first_skips_the_scan_on_an_acyclic_graph():
         key=lambda n: n,
         skeleton=unused,
         closes=unused,
-        depth=4,
+        depth=0,
         successors=lambda n: DAG[n],
         budget=100,
         sn=sn,
-        walk_first=True,
     )
     assert got == explore(3, lambda n: DAG[n], 100, {}) == (3, 3, 2)
     assert sn == {3: 2, 4: 1, 5: 0}
-
-
-# Two cycles through 1.  At 1 the scan asks whether a step closes back
-# onto the path, and 1 -> 5 does; a walk, sorted or not, goes 1 -> 2 first
-# and meets 2 -> 1.
-TWO_LOOPS = {5: [1], 1: [2, 5], 2: [1]}
-
-
-def test_walk_first_returns_the_scans_cycle_when_the_walk_meets_another():
-    walk = explore(5, lambda n: TWO_LOOPS[n], 100, {})
-    assert walk == explore(5, lambda n: sorted(TWO_LOOPS[n]), 100, {}) == Cycle((1, 2))
-    for walk_first in (False, True):
-        sn: dict[int, int] = {}
-        got = _certify(TWO_LOOPS, 5, depth=4, sn=sn, walk_first=walk_first)
-        assert got == Cycle((5, 1))
-        assert sn == {}
 
 
 def test_root_in_sn_still_gets_the_exact_report():
@@ -206,14 +173,12 @@ def _digraphs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_digraphs(), st.integers(0, 3), st.randoms(use_true_random=False))
-def test_warm_reports_match_cold_sorted_explore(case, depth, rng: random.Random):
-    """Roots certified in a random order on one shared ``sn`` per stage
-    order, each successor set handed over in a fresh random order, give
-    what a cold call gives, walking first or not; with no scan that is
-    what a sorted ``explore`` gives on its own.  Acyclic reports match a
-    BFS oracle, and both orders leave the same ``sn``, closed under
-    successors, with true longest paths."""
+@given(_digraphs(), st.randoms(use_true_random=False))
+def test_warm_reports_match_cold_sorted_explore(case, rng: random.Random):
+    """Roots certified in a random order on one shared ``sn``, each
+    successor set handed over in a fresh random order, give what a sorted
+    ``explore`` gives on its own; acyclic reports match a BFS oracle and
+    leave ``sn`` closed under successors, with true longest paths."""
 
     graph, roots, budget = case
 
@@ -222,30 +187,19 @@ def test_warm_reports_match_cold_sorted_explore(case, depth, rng: random.Random)
         rng.shuffle(out)
         return out
 
-    sns: dict[bool, dict[int, int]] = {False: {}, True: {}}
+    sn: dict[int, int] = {}
     for root in roots:
-        cold = _outcome(_certify, graph, root, depth=depth, budget=budget)
-        if depth == 0:
-            assert cold == _outcome(
-                explore, root, lambda n: sorted(set(graph[n]) - {n}), budget, {}
-            )
-        for walk_first, sn in sns.items():
-            got = _outcome(
-                _certify,
-                graph,
-                root,
-                depth=depth,
-                sn=sn,
-                successors=shuffled,
-                budget=budget,
-                walk_first=walk_first,
-            )
-            assert got == cold, (root, walk_first, sn)
-        if isinstance(cold, Cycle):
+        got = _outcome(
+            _certify, graph, root, depth=0, sn=sn, successors=shuffled, budget=budget
+        )
+        cold = _outcome(
+            explore, root, lambda n: sorted(set(graph[n]) - {n}), budget, {}
+        )
+        assert got == cold, (root, sn)
+        if isinstance(got, Cycle):
             assert _oracle(graph, root) is None
-        elif cold[0] != "raised":
-            assert cold == _oracle(graph, root)
-    assert sns[False] == sns[True]
-    for n, longest in sns[True].items():
+        elif got[0] != "raised":
+            assert got == _oracle(graph, root)
+    for n, longest in sn.items():
         assert _oracle(graph, n)[2] == longest
-        assert set(graph[n]) <= set(sns[True])
+        assert set(graph[n]) <= set(sn)
