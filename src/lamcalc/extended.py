@@ -7,7 +7,10 @@ Extended reduction adds three redexes on top of plain parallel reduction:
   with its expected type;
 * e     — from a cast, keep the annotation instead of the term.
 
-All the rules are stated once, in :func:`lamcalc.reduction.one_step`.
+All the rules are stated once, in ``lamcalc.reduction._contractions``,
+which drives the reduct sets and the single-redex skeleton ``_seq_steps``
+alike.  The matcher ``_step_to`` decides a step by inverting each rule on
+its own, so it cross-checks that statement rather than repeating it.
 These are the steps that static types take, so strong normalization of
 extended reduction (``csx_certify``) is the property the stratified-validity
 layer leans on.  Lazy equivalence (``lleq_holds``) identifies environments
@@ -22,7 +25,7 @@ as one sorted tuple (``_frees``); ``frees_holds``, ``frees_indices``,
 from __future__ import annotations
 
 from .arity import aaa
-from .reduction import _UNSET, env_reducts, one_step
+from .reduction import _UNSET, _contractions, env_reducts, one_step
 from .relocation import delift, lift
 from .terms import (
     Bind,
@@ -86,6 +89,8 @@ def _step_to(c: int, big_d: int, env: Env, t1: Term, t2: Term) -> bool:
 
 
 def _step_to_raw(c: int, big_d: int, env: Env, t1: Term, t2: Term) -> bool:
+    # Each rule is matched backwards from the target, independently of the
+    # enumeration's statement of it, so each can check the other.
     match t1:
         case Sort(k):
             return t2 == Sort(k + c) and max(big_d - k // c, 0) >= 1
@@ -94,59 +99,47 @@ def _step_to_raw(c: int, big_d: int, env: Env, t1: Term, t2: Term) -> bool:
                 return False
             v2 = delift(0, i + 1, t2)
             return v2 is not None and _step_to(c, big_d, env[i + 1 :], env[i][1], v2)
-        case Bind(kind, side, body):
-            inner = env_push(env, kind, side)
-            match t2:
-                case Bind(kind2, s2, b2) if kind2 == kind:
-                    if _step_to(c, big_d, env, side, s2) and _step_to(
-                        c, big_d, inner, body, b2
-                    ):
-                        return True
-            if kind == BindKind.ABBR and _step_to(c, big_d, inner, body, lift(0, 1, t2)):
-                return True
-            return False
+        case Bind(kind, side, body) | Flat(kind, side, body):
+            # the congruence: same constructor and kind, and each part steps
+            if (
+                type(t2) is type(t1)
+                and t2.kind == kind
+                and _step_to(c, big_d, env, side, t2.side)
+            ):
+                inner = env_push(env, kind, side) if isinstance(t1, Bind) else env
+                if _step_to(c, big_d, inner, body, t2.body):
+                    return True
+        case _:
+            raise TypeError(f"not a term: {t1!r}")
+    match t1:
+        case Bind(BindKind.ABBR, side, body):
+            inner = env_push(env, BindKind.ABBR, side)
+            return _step_to(c, big_d, inner, body, lift(0, 1, t2))
         case Flat(FlatKind.CAST, side, body):
-            match t2:
-                case Flat(FlatKind.CAST, s2, b2):
-                    if _step_to(c, big_d, env, side, s2) and _step_to(
-                        c, big_d, env, body, b2
-                    ):
-                        return True
             return _step_to(c, big_d, env, body, t2) or _step_to(c, big_d, env, side, t2)
-        case Flat(FlatKind.APPL, side, body):
+        case Flat(FlatKind.APPL, side, Bind(BindKind.ABST, w, u)):
             match t2:
-                case Flat(FlatKind.APPL, v2, b2):
-                    if _step_to(c, big_d, env, side, v2) and _step_to(
-                        c, big_d, env, body, b2
-                    ):
-                        return True
-            match body:
-                case Bind(BindKind.ABST, w, u):
-                    match t2:
-                        case Bind(BindKind.ABBR, Flat(FlatKind.CAST, w2, v2), u2):
-                            if (
-                                _step_to(c, big_d, env, w, w2)
-                                and _step_to(c, big_d, env, side, v2)
-                                and _step_to(
-                                    c, big_d, env_push(env, BindKind.ABST, w), u, u2
-                                )
-                            ):
-                                return True
-                case Bind(BindKind.ABBR, u, s):
-                    match t2:
-                        case Bind(BindKind.ABBR, u2, Flat(FlatKind.APPL, a2, s2)):
-                            v2 = delift(0, 1, a2)
-                            if (
-                                v2 is not None
-                                and _step_to(c, big_d, env, side, v2)
-                                and _step_to(c, big_d, env, u, u2)
-                                and _step_to(
-                                    c, big_d, env_push(env, BindKind.ABBR, u), s, s2
-                                )
-                            ):
-                                return True
-            return False
-    raise TypeError(f"not a term: {t1!r}")
+                case Bind(BindKind.ABBR, Flat(FlatKind.CAST, w2, v2), u2):
+                    return (
+                        _step_to(c, big_d, env, w, w2)
+                        and _step_to(c, big_d, env, side, v2)
+                        and _step_to(
+                            c, big_d, env_push(env, BindKind.ABST, w), u, u2
+                        )
+                    )
+        case Flat(FlatKind.APPL, side, Bind(BindKind.ABBR, u, s)):
+            match t2:
+                case Bind(BindKind.ABBR, u2, Flat(FlatKind.APPL, a2, s2)):
+                    v2 = delift(0, 1, a2)
+                    return (
+                        v2 is not None
+                        and _step_to(c, big_d, env, side, v2)
+                        and _step_to(c, big_d, env, u, u2)
+                        and _step_to(
+                            c, big_d, env_push(env, BindKind.ABBR, u), s, s2
+                        )
+                    )
+    return False
 
 
 def lpx_reducts(params: Params, env: Env) -> frozenset[Env]:
@@ -185,40 +178,17 @@ def _seq_steps(c: int, big_d: int, env: Env, term: Term):
     """
 
     match term:
-        case Sort(k):
-            if max(big_d - k // c, 0) >= 1:
-                yield Sort(k + c)
-        case Var(i):
-            if i < len(env):
-                yield lift(0, i + 1, env[i][1])
-        case Bind(kind, side, body):
+        case Bind(kind, side, body) | Flat(kind, side, body):
             for s2 in _seq_steps(c, big_d, env, side):
-                yield Bind(kind, s2, body)
-            for b2 in _seq_steps(c, big_d, env_push(env, kind, side), body):
-                yield Bind(kind, side, b2)
-            if kind == BindKind.ABBR:
-                dropped = delift(0, 1, body)
-                if dropped is not None:
-                    yield dropped
-        case Flat(FlatKind.CAST, side, body):
-            for s2 in _seq_steps(c, big_d, env, side):
-                yield Flat(FlatKind.CAST, s2, body)
-            for b2 in _seq_steps(c, big_d, env, body):
-                yield Flat(FlatKind.CAST, side, b2)
-            yield body
-            yield side
-        case Flat(FlatKind.APPL, side, body):
-            for v2 in _seq_steps(c, big_d, env, side):
-                yield Flat(FlatKind.APPL, v2, body)
-            for t2 in _seq_steps(c, big_d, env, body):
-                yield Flat(FlatKind.APPL, side, t2)
-            match body:
-                case Bind(BindKind.ABST, w, u):
-                    yield Bind(BindKind.ABBR, Flat(FlatKind.CAST, w, side), u)
-                case Bind(BindKind.ABBR, u, s):
-                    yield Bind(
-                        BindKind.ABBR, u, Flat(FlatKind.APPL, lift(0, 1, side), s)
-                    )
+                yield type(term)(kind, s2, body)
+            inner = env_push(env, kind, side) if isinstance(term, Bind) else env
+            for b2 in _seq_steps(c, big_d, inner, body):
+                yield type(term)(kind, side, b2)
+    yield from _contractions((c, big_d), env, term, _itself, 1)
+
+
+def _itself(_: Env, part: Term) -> tuple[Term]:
+    return (part,)
 
 
 # Depth of the pre-traversal cycle scan: paths of single-redex steps this

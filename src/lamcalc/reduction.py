@@ -11,10 +11,15 @@ redexes are:
 * eps   — drop a type annotation;
 * theta — push an application argument under a definition binder.
 
-``one_step`` states these rules once, for plain and extended reduction.
-``lpr_reducts`` applies the same relation inside environment entries.
-``cpr_full`` is the deterministic maximal development used by the fueled
-normalizer, and ``conv`` compares normal forms.  ``lsubr_holds``, the
+``_contractions`` states these rules once, for plain and extended
+reduction: the redexes at the top of a term, contracted, each part of a
+redex standing for every choice a ``sub`` function offers for it.  Three
+relations are built on it and differ only in that choice: ``one_step``
+(every one-step reduct of each part), the single-redex skeleton
+``extended._seq_steps`` (the part itself) and the maximal development
+``cpr_full`` (the part's development).  ``lpr_reducts`` applies the same
+relation inside environment entries.  ``normalize`` iterates the
+development, and ``conv`` compares normal forms.  ``lsubr_holds``, the
 refinement on environments that preserves reduction, runs ``lsub_walk``.
 """
 
@@ -23,7 +28,7 @@ from __future__ import annotations
 from itertools import product
 from math import prod
 from types import MappingProxyType
-from typing import Callable, Optional
+from typing import Callable, Collection, Optional
 
 from .errors import BudgetExceeded, FuelExhausted
 from .relocation import delift, lift
@@ -96,76 +101,76 @@ def one_step(ext: Ext, env: Env, term: Term, budget: int) -> frozenset[Term]:
 
     got = _ONE_STEP.get(ext, _UNSET).get(env, _UNSET).get(term)
     if got is None:
-        got = _enumerate(ext, env, term, budget)
+
+        def sub(e: Env, t: Term) -> frozenset[Term]:
+            return one_step(ext, e, t, budget)
+
+        out = _congruence(env, term, sub, budget)
+        out.update(_contractions(ext, env, term, sub, budget))
+        got = frozenset(out)  # copied from a set, its table is sized to fit
         _ONE_STEP.setdefault(ext, {}).setdefault(env, {})[term] = got
     _guard(len(got), budget)
     return got
 
 
-def _enumerate(ext: Ext, env: Env, term: Term, budget: int) -> frozenset[Term]:
-    out: set[Term] = set()
+# ``sub(env, part)`` in the two functions below: the choices for a part of
+# ``term`` in the part's own environment.  Every one-step reduct for
+# enumeration, the part itself for the single-redex skeleton, and its
+# development, as a 1-tuple, for the maximal development.
+Sub = Callable[[Env, Term], Collection[Term]]
 
-    def sub(e: Env, t: Term) -> frozenset[Term]:
-        return one_step(ext, e, t, budget)
 
-    def choose(*parts):
-        """Every tuple of one reduct from each part; their number is
-        held to the budget."""
-
-        _guard(prod(map(len, parts)), budget)
-        return product(*parts)
+def _congruence(env: Env, term: Term, sub: Sub, budget: int) -> set[Term]:
+    """``term`` rebuilt from every choice for its side and body; an atom
+    is its own only choice."""
 
     match term:
-        case Sort(k):
-            out.add(term)
+        case Bind() | Flat():  # fields read below: a positional pattern costs more
+            kind, side, body = term.kind, term.side, term.body
+        case _:
+            return {term}
+    inner = env_push(env, kind, side) if isinstance(term, Bind) else env
+    sides, bodies = sub(env, side), sub(inner, body)
+    _guard(len(sides) * len(bodies), budget)
+    return {type(term)(kind, s2, b2) for s2 in sides for b2 in bodies}
+
+
+def _contractions(ext: Ext, env: Env, term: Term, sub: Sub, budget: int):
+    """The redex rules, the one place they are stated: every redex at the
+    top of ``term``, contracted, with each part of the redex replaced by
+    every choice ``sub`` offers for it.  Raises ``TypeError`` on a
+    non-term."""
+
+    match term:
+        case Sort(k):  # the sort step, extended only
             if ext is not None and max(ext[1] - k // ext[0], 0) >= 1:
-                out.add(Sort(k + ext[0]))
-        case Var(i):
-            out.add(term)
+                yield Sort(k + ext[0])
+        case Var(i):  # delta, on declarations too when extended
             if i < len(env) and (ext is not None or env[i][0] == BindKind.ABBR):
                 for v2 in sub(env[i + 1 :], env[i][1]):
-                    out.add(lift(0, i + 1, v2))
-        case Bind(kind, side, body):
-            sides = sub(env, side)
-            bodies = sub(env_push(env, kind, side), body)
-            for s2, b2 in choose(sides, bodies):
-                out.add(Bind(kind, s2, b2))
-            if kind == BindKind.ABBR:
-                for b2 in bodies:
-                    dropped = delift(0, 1, b2)
-                    if dropped is not None:
-                        out.add(dropped)
-        case Flat(FlatKind.CAST, side, body):
-            sides = sub(env, side)
-            bodies = sub(env, body)
-            for s2, b2 in choose(sides, bodies):
-                out.add(Flat(FlatKind.CAST, s2, b2))
-            out.update(bodies)
+                    yield lift(0, i + 1, v2)
+        case Bind(BindKind.ABBR, side, body):  # zeta
+            for b2 in sub(env_push(env, BindKind.ABBR, side), body):
+                dropped = delift(0, 1, b2)
+                if dropped is not None:
+                    yield dropped
+        case Flat(FlatKind.CAST, side, body):  # eps; extended, keep the annotation
+            yield from sub(env, body)
             if ext is not None:
-                out.update(sides)
-        case Flat(FlatKind.APPL, side, body):
-            args = sub(env, side)
-            funs = sub(env, body)
-            for v2, t2 in choose(args, funs):
-                out.add(Flat(FlatKind.APPL, v2, t2))
-            match body:
-                case Bind(BindKind.ABST, w, u):
-                    doms = sub(env, w)
-                    bodies = sub(env_push(env, BindKind.ABST, w), u)
-                    for v2, w2, u2 in choose(args, doms, bodies):
-                        out.add(Bind(BindKind.ABBR, Flat(FlatKind.CAST, w2, v2), u2))
-                case Bind(BindKind.ABBR, u, s):
-                    defs = sub(env, u)
-                    bodies = sub(env_push(env, BindKind.ABBR, u), s)
-                    for u2, s2, v2 in choose(defs, bodies, args):
-                        out.add(
-                            Bind(
-                                BindKind.ABBR,
-                                u2,
-                                Flat(FlatKind.APPL, lift(0, 1, v2), s2),
-                            )
-                        )
-    return frozenset(out)
+                yield from sub(env, side)
+        case Flat(FlatKind.APPL, side, Bind(kind, u, s)):  # beta or theta
+            parts = sub(env, side), sub(env, u), sub(env_push(env, kind, u), s)
+            _guard(prod(map(len, parts)), budget)
+            for v2, u2, s2 in product(*parts):
+                if kind == BindKind.ABST:  # beta
+                    yield Bind(BindKind.ABBR, Flat(FlatKind.CAST, u2, v2), s2)
+                else:  # theta
+                    v2 = lift(0, 1, v2)
+                    yield Bind(BindKind.ABBR, u2, Flat(FlatKind.APPL, v2, s2))
+        case Bind() | Flat():
+            pass
+        case _:
+            raise TypeError(f"not a term: {term!r}")
 
 
 def cpr_reducts(env: Env, term: Term, budget: int = DEFAULT_BUDGET) -> frozenset[Term]:
@@ -204,58 +209,26 @@ def lpr_holds(env1: Env, env2: Env, budget: int = DEFAULT_BUDGET) -> bool:
 
 
 def cpr_full(env: Env, term: Term) -> Term:
-    """Maximal development: develop every subterm, then contract the top
-    redex, preferring zeta, then beta, theta, eps, delta."""
+    """Maximal development: contract the top redex with every part
+    developed, or, at a term that is no redex, develop each part."""
 
+    return _develop(env, term)[0]
+
+
+def _develop(env: Env, term: Term) -> tuple[Term]:
+    # A 1-tuple, so that this is the ``sub`` of the redex rules.  In plain
+    # reduction at most one rule applies at any term, so the loop binds at
+    # most one contraction, and that is the development.  Running the
+    # generator to its end is cheaper than closing it early, and ``next``
+    # would cost a level of the recursion limit while it runs unspecialized.
     got = _FULL.get(env, _UNSET).get(term)
     if got is None:
-        got = _FULL.setdefault(env, {})[term] = _full(env, term)
-    return got
-
-
-def _full(env: Env, term: Term) -> Term:
-    match term:
-        case Sort(_):
-            return term
-        case Var(i):
-            if i < len(env) and env[i][0] == BindKind.ABBR:
-                return lift(0, i + 1, cpr_full(env[i + 1 :], env[i][1]))
-            return term
-        case Bind(BindKind.ABBR, side, body):
-            body2 = cpr_full(env_push(env, BindKind.ABBR, side), body)
-            dropped = delift(0, 1, body2)
-            if dropped is not None:
-                return dropped
-            return Bind(BindKind.ABBR, cpr_full(env, side), body2)
-        case Bind(BindKind.ABST, side, body):
-            return Bind(
-                BindKind.ABST,
-                cpr_full(env, side),
-                cpr_full(env_push(env, BindKind.ABST, side), body),
-            )
-        case Flat(FlatKind.APPL, side, body):
-            match body:
-                case Bind(BindKind.ABST, w, u):
-                    return Bind(
-                        BindKind.ABBR,
-                        Flat(FlatKind.CAST, cpr_full(env, w), cpr_full(env, side)),
-                        cpr_full(env_push(env, BindKind.ABST, w), u),
-                    )
-                case Bind(BindKind.ABBR, u, s):
-                    return Bind(
-                        BindKind.ABBR,
-                        cpr_full(env, u),
-                        Flat(
-                            FlatKind.APPL,
-                            lift(0, 1, cpr_full(env, side)),
-                            cpr_full(env_push(env, BindKind.ABBR, u), s),
-                        ),
-                    )
-                case _:
-                    return Flat(FlatKind.APPL, cpr_full(env, side), cpr_full(env, body))
-        case Flat(FlatKind.CAST, _, body):
-            return cpr_full(env, body)
-    raise TypeError(f"not a term: {term!r}")
+        for got in _contractions(None, env, term, _develop, 1):
+            pass
+        if got is None:
+            (got,) = _congruence(env, term, _develop, 1)
+        _FULL.setdefault(env, {})[term] = got
+    return (got,)
 
 
 def normalize(env: Env, term: Term, fuel: int = DEFAULT_FUEL) -> Term:
@@ -269,7 +242,7 @@ def normalize(env: Env, term: Term, fuel: int = DEFAULT_FUEL) -> Term:
     if got is None:
         t = term
         for rounds in range(fuel + 1):
-            t2 = cpr_full(env, t)
+            (t2,) = _develop(env, t)  # one frame fewer than cpr_full
             if t2 == t:
                 break
             t = t2

@@ -17,9 +17,12 @@ from lamcalc import (
     parse_term,
     tsts,
 )
+from lamcalc.arity import aaa
 from lamcalc.extended import (
     Cycle,
     SnReport,
+    _seq_steps,
+    _step_to,
     cnx_holds,
     cpx_holds,
     cpx_reducts,
@@ -36,6 +39,7 @@ from lamcalc.extended import (
 from lamcalc.reduction import cpr_reducts
 from lamcalc.relocation import delift
 from lamcalc.statics import da, lstas
+from lamcalc.traversal import reach
 from lamcalc.universe import enumerate_closures, enumerate_envs, enumerate_terms
 
 P = Params()
@@ -184,6 +188,27 @@ def test_cnx_examples():
 def test_cnx_matches_reduct_set():
     for env, t in enumerate_closures(3, 1, 1):
         assert cnx_holds(P, env, t) == (cpx_reducts(P, env, t) == {t})
+
+
+def test_skeleton_factors_parallel_steps():
+    """Every single-redex step is an extended parallel step, and every
+    parallel reduct is reached by single-redex steps: the cycle scan and
+    ``cnx_holds`` rest on both.  Over the typed closures, which are
+    strongly normalizing, so each reach is finite."""
+
+    for env, t in enumerate_closures(3, 2, 1):
+        if aaa(env, t) is None:
+            continue
+
+        def skeleton(u):
+            return list(_seq_steps(P.c, P.big_d, env, u))
+
+        reached = set()
+        for u, steps in reach(t, skeleton, P.budget):
+            reached.add(u)
+            for u2 in steps:
+                assert _step_to(P.c, P.big_d, env, u, u2), (env, u, u2)
+        assert cpx_reducts(P, env, t) <= reached, (env, t)
 
 
 def test_csx_examples():

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import json
+import subprocess
+import sys
+
 import pytest
 
 from lamcalc import (
@@ -98,11 +102,48 @@ def test_cpr_full_examples():
     assert cpr_full((), Sort(4)) == Sort(4)
     assert cpr_full((), OMEGA) == REDUCTUM
     assert cpr_full(parse_env("[def *0]"), Var(0)) == Sort(0)
+    # a non-term is refused by the development and the enumeration alike,
+    # and the refusal is not remembered as an answer
+    for _ in range(2):
+        for reduce in (cpr_full, cpr_reducts):
+            with pytest.raises(TypeError, match="not a term"):
+                reduce((), ("x",))
 
 
 def test_cpr_full_is_a_reduct():
     for env, t in enumerate_closures(3, 1, 1):
         assert cpr_full(env, t) in cpr_reducts(env, t)
+
+
+def test_deep_terms_reduce_at_the_default_recursion_limit():
+    """Nested chains somewhat below the deepest each reduction handles
+    (498 casts to normalize, 166 identities, 331 casts to enumerate) go
+    through in a fresh process at the default limit: a rewrite that adds
+    stack frames per nesting level fails here."""
+
+    probe = """
+import json, sys
+from lamcalc import Sort, Var, abst, appl, cast
+from lamcalc.reduction import cpr_reducts, normalize
+def chain(n, wrap):
+    t = Sort(0)
+    for _ in range(n):
+        t = wrap(t)
+    return t
+def casts(n):
+    return chain(n, lambda t: cast(Sort(1), t))
+ids = chain(150, lambda t: appl(t, abst(Sort(1), Var(0))))
+print(json.dumps([
+    sys.getrecursionlimit(),
+    normalize((), casts(450)) == Sort(0),
+    normalize((), ids) == Sort(0),
+    len(cpr_reducts((), casts(300))),
+]))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert json.loads(done.stdout) == [1000, True, True, 301]
 
 
 def test_normalize():
