@@ -97,12 +97,13 @@ def enumerate_closures(max_term_size: int, max_env_len: int, max_sort: int) -> I
     most ``max_sort``, reference depths are below ``max_env_len +
     max_term_size``.  Environments have at most ``max_env_len`` entries
     whose side terms have at most 2 constructors under the same atom
-    bounds.
+    bounds.  Closures are made as they are asked for, never all at once.
     """
 
     max_ref = max_env_len + max_term_size
     terms = enumerate_terms(max_term_size, max_sort, max_ref)
-    envs = enumerate_envs(max_env_len, 2, max_sort, max_ref)
-    closures = [Closure(env, t) for env in envs for t in terms]
-    closures.sort(key=closure_key)
-    return iter(closures)
+    envs = sorted(enumerate_envs(max_env_len, 2, max_sort, max_ref), key=env_key)
+    # closure_key orders by env_key, then by the term: the sorted product
+    for env in envs:
+        for t in terms:
+            yield Closure(env, t)

@@ -147,6 +147,13 @@ def test_cpx_holds_matches_enumeration():
         reducts = cpx_reducts(P, env, t)
         for t2 in terms:
             assert cpx_holds(P, env, t, t2) == (t2 in reducts)
+    # the steps over each environment reduct, asked over the environment
+    # itself: the queries the lazy-equivalence laws transfer, negatives too
+    for env, t in enumerate_closures(3, 2, 1):
+        reducts = cpx_reducts(P, env, t)
+        for env2 in lpx_reducts(P, env):
+            for t2 in cpx_reducts(P, env2, t):
+                assert cpx_holds(P, env, t, t2) == (t2 in reducts)
 
 
 def test_static_type_is_an_extended_reduct():

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 import lamcalc.props as props
-from lamcalc import Params, parse_env, parse_term
+from lamcalc import Params, Sort, Var, parse_env, parse_term
 from lamcalc.props import SUITES, run_suite
 
 P = Params()
@@ -88,3 +88,27 @@ def test_recursive_lleq_spot_checks():
     assert props._lleq_recursive(1, parse_term("#0"), d0, d1)
     assert not props._lleq_recursive(0, parse_term("#0"), dec, d1)
     assert props._lleq_recursive(0, parse_term("#1"), d0, d1)
+
+
+def test_lleq_suite_detects_broken_transfer_and_stability(monkeypatch):
+    real = props.cpx_reducts
+
+    def env_marked_reducts(params, env, term):
+        # a reduct that depends on entry 0, which lazy equivalence ignores
+        # for terms that do not refer to it
+        match env:
+            case ((_, Sort(k)), *_):
+                return real(params, env, term) | {Sort(100 + k)}
+        return real(params, env, term)
+
+    monkeypatch.setattr(props, "cpx_reducts", env_marked_reducts)
+    bad = run_suite("lleq-laws", P, 1, 1, 0)
+    assert any("does not transfer" in line for line in bad)
+
+    def var_reducts(params, env, term):
+        # a reduct that refers to entry 0, whatever the term refers to
+        return real(params, env, term) | ({Var(0)} if env else set())
+
+    monkeypatch.setattr(props, "cpx_reducts", var_reducts)
+    bad = run_suite("lleq-laws", P, 1, 1, 0)
+    assert any("lost at" in line for line in bad)

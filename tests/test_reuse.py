@@ -335,6 +335,11 @@ def test_memo_tables_hold_no_key_tuple_per_entry():
     clear_caches()
     for name in SUITES:
         run_suite(name, P, 2, 2, 0)
+    # no suite asks the step matcher, so ask it what lazy equivalence transfers
+    for env, t in enumerate_closures(2, 2, 0):
+        for env2 in lpx_reducts(P, env):
+            for t2 in cpx_reducts(P, env2, t):
+                cpx_holds(P, env, t, t2)
     assert all(memo.TABLES)
     bad = [
         key

@@ -203,23 +203,24 @@ def test_enumerate_acceptance_universe_count():
     assert count == _oracle_count(4, 2, 1) == 72072
 
 
-def test_enumerate_ordered_and_within_bounds():
-    seen = list(enumerate_closures(3, 1, 1))
+@pytest.mark.parametrize("size,envlen,maxsort", [(3, 1, 1), (3, 2, 1), (3, 1, 2)])
+def test_enumerate_ordered_and_within_bounds(size, envlen, maxsort):
+    seen = list(enumerate_closures(size, envlen, maxsort))
     keys = [closure_key(c) for c in seen]
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
     for env, t in seen:
-        assert term_size(t) <= 3
-        assert len(env) <= 1
+        assert term_size(t) <= size
+        assert len(env) <= envlen
         for _, w in env:
             assert term_size(w) <= 2
 
     def atoms_ok(t) -> bool:
         match t:
             case Sort(k):
-                return k <= 1
+                return k <= maxsort
             case Var(i):
-                return i < 1 + 3
+                return i < envlen + size
             case _:
                 return atoms_ok(t.side) and atoms_ok(t.body)
 
