@@ -55,40 +55,32 @@ def _aaa(env: Env, term: Term) -> Optional[Arity]:
 
 
 def _aaa_raw(env: Env, term: Term) -> Optional[Arity]:
-    match term:
-        case Sort(_):
-            return Base()
-        case Var(i):
-            if i >= len(env):
-                return None
-            _, side = env[i]
-            return _aaa(env[i + 1 :], side)
-        case Bind(BindKind.ABBR, side, body):
-            if _aaa(env, side) is None:
-                return None
-            return _aaa(env_push(env, BindKind.ABBR, side), body)
-        case Bind(BindKind.ABST, side, body):
-            dom = _aaa(env, side)
-            if dom is None:
-                return None
-            cod = _aaa(env_push(env, BindKind.ABST, side), body)
-            if cod is None:
-                return None
-            return Arrow(dom, cod)
-        case Flat(FlatKind.APPL, side, body):
-            arg = _aaa(env, side)
-            fun = _aaa(env, body)
-            match fun:
-                case Arrow(dom, cod) if dom == arg and arg is not None:
-                    return cod
-                case _:
-                    return None
-        case Flat(FlatKind.CAST, side, body):
-            ann = _aaa(env, side)
-            sub = _aaa(env, body)
-            if ann is None or ann != sub:
-                return None
-            return sub
+    cls = type(term)
+    if cls is Bind:
+        _, kind, side, body = term
+        dom = _aaa(env, side)
+        if dom is None:
+            return None
+        cod = _aaa(env_push(env, kind, side), body)
+        if cod is None or kind == BindKind.ABBR:
+            return cod
+        return Arrow(dom, cod)
+    if cls is Flat:
+        _, kind, side, body = term
+        arg = _aaa(env, side)
+        fun = _aaa(env, body)
+        if arg is None:
+            return None
+        if kind == FlatKind.CAST:  # the annotation's arity is the subject's
+            return fun if arg == fun else None
+        return fun.cod if type(fun) is Arrow and fun.dom == arg else None
+    if cls is Var:
+        _, i = term
+        if i >= len(env):
+            return None
+        return _aaa(env[i + 1 :], env[i][1])
+    if cls is Sort:
+        return Base()
     raise TypeError(f"not a term: {term!r}")
 
 

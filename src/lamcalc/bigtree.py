@@ -33,6 +33,7 @@ from .terms import (
     Env,
     Flat,
     Params,
+    Sort,
     Term,
     Var,
     closure_measure,
@@ -82,15 +83,16 @@ def fqu_children(env: Env, term: Term) -> frozenset[Closure]:
     """
 
     out: set[Closure] = set()
-    match term:
-        case Var(0) if env:
+    cls = type(term)
+    if cls is Bind or cls is Flat:
+        _, kind, side, body = term
+        out.add(Closure(env, side))
+        out.add(Closure(env_push(env, kind, side) if cls is Bind else env, body))
+    elif cls is Var:
+        if term[1] == 0 and env:
             out.add(Closure(env[1:], env[0][1]))
-        case Bind(kind, side, body):
-            out.add(Closure(env, side))
-            out.add(Closure(env_push(env, kind, side), body))
-        case Flat(_, side, body):
-            out.add(Closure(env, side))
-            out.add(Closure(env, body))
+    elif cls is not Sort:
+        raise TypeError(f"not a term: {term!r}")
     for m in range(1, len(env) + 1):
         dropped = delift(0, m, term)
         if dropped is None:
@@ -107,18 +109,18 @@ def _fqu_holds(c1: Closure, c2: Closure) -> bool:
     number dropped."""
 
     (env1, t1), (env2, t2) = c1, c2
-    match t1:
-        case Var(0) if env1:
-            if t2 == env1[0][1] and env2 == env1[1:]:
-                return True
-        case Bind(kind, side, body):
-            if t2 == side and env2 == env1:
-                return True
-            if t2 == body and env2 == env_push(env1, kind, side):
-                return True
-        case Flat(_, side, body):
-            if (t2 == side or t2 == body) and env2 == env1:
-                return True
+    cls = type(t1)
+    if cls is Bind or cls is Flat:
+        _, kind, side, body = t1
+        if t2 == side and env2 == env1:
+            return True
+        if t2 == body and env2 == (env_push(env1, kind, side) if cls is Bind else env1):
+            return True
+    elif cls is Var:
+        if t1[1] == 0 and env1 and t2 == env1[0][1] and env2 == env1[1:]:
+            return True
+    elif cls is not Sort:
+        raise TypeError(f"not a term: {t1!r}")
     m = len(env1) - len(env2)
     return m > 0 and env2 == env1[m:] and delift(0, m, t1) == t2
 

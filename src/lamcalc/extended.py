@@ -91,55 +91,55 @@ def _step_to(c: int, big_d: int, env: Env, t1: Term, t2: Term) -> bool:
 def _step_to_raw(c: int, big_d: int, env: Env, t1: Term, t2: Term) -> bool:
     # Each rule is matched backwards from the target, independently of the
     # enumeration's statement of it, so each can check the other.
-    match t1:
-        case Sort(k):
-            return t2 == Sort(k + c) and max(big_d - k // c, 0) >= 1
-        case Var(i):
-            if i >= len(env):
-                return False
-            v2 = delift(0, i + 1, t2)
-            return v2 is not None and _step_to(c, big_d, env[i + 1 :], env[i][1], v2)
-        case Bind(kind, side, body) | Flat(kind, side, body):
-            # the congruence: same constructor and kind, and each part steps
-            if (
-                type(t2) is type(t1)
-                and t2.kind == kind
-                and _step_to(c, big_d, env, side, t2.side)
-            ):
-                inner = env_push(env, kind, side) if isinstance(t1, Bind) else env
-                if _step_to(c, big_d, inner, body, t2.body):
-                    return True
-        case _:
-            raise TypeError(f"not a term: {t1!r}")
-    match t1:
-        case Bind(BindKind.ABBR, side, body):
-            inner = env_push(env, BindKind.ABBR, side)
-            return _step_to(c, big_d, inner, body, lift(0, 1, t2))
-        case Flat(FlatKind.CAST, side, body):
-            return _step_to(c, big_d, env, body, t2) or _step_to(c, big_d, env, side, t2)
-        case Flat(FlatKind.APPL, side, Bind(BindKind.ABST, w, u)):
-            match t2:
-                case Bind(BindKind.ABBR, Flat(FlatKind.CAST, w2, v2), u2):
-                    return (
-                        _step_to(c, big_d, env, w, w2)
-                        and _step_to(c, big_d, env, side, v2)
-                        and _step_to(
-                            c, big_d, env_push(env, BindKind.ABST, w), u, u2
-                        )
-                    )
-        case Flat(FlatKind.APPL, side, Bind(BindKind.ABBR, u, s)):
-            match t2:
-                case Bind(BindKind.ABBR, u2, Flat(FlatKind.APPL, a2, s2)):
-                    v2 = delift(0, 1, a2)
-                    return (
-                        v2 is not None
-                        and _step_to(c, big_d, env, side, v2)
-                        and _step_to(c, big_d, env, u, u2)
-                        and _step_to(
-                            c, big_d, env_push(env, BindKind.ABBR, u), s, s2
-                        )
-                    )
-    return False
+    cls = type(t1)
+    if cls is Bind or cls is Flat:
+        _, kind, side, body = t1
+        # the congruence: same constructor and kind, and each part steps
+        if type(t2) is cls and t2[1] == kind and _step_to(c, big_d, env, side, t2[2]):
+            inner = env_push(env, kind, side) if cls is Bind else env
+            if _step_to(c, big_d, inner, body, t2[3]):
+                return True
+    elif cls is Var:
+        _, i = t1
+        if i >= len(env):
+            return False
+        v2 = delift(0, i + 1, t2)
+        return v2 is not None and _step_to(c, big_d, env[i + 1 :], env[i][1], v2)
+    elif cls is Sort:
+        _, k = t1
+        return t2 == Sort(k + c) and max(big_d - k // c, 0) >= 1
+    else:
+        raise TypeError(f"not a term: {t1!r}")
+    if cls is Bind:  # zeta
+        return kind == BindKind.ABBR and _step_to(
+            c, big_d, env_push(env, kind, side), body, lift(0, 1, t2)
+        )
+    if kind == FlatKind.CAST:  # eps, or e keeping the annotation
+        return _step_to(c, big_d, env, body, t2) or _step_to(c, big_d, env, side, t2)
+    if type(body) is not Bind or type(t2) is not Bind or t2[1] != BindKind.ABBR:
+        return False
+    _, kind, u, s = body
+    _, _, u2, b2 = t2
+    if kind == BindKind.ABST:  # beta
+        if type(u2) is not Flat or u2[1] != FlatKind.CAST:
+            return False
+        _, _, w2, v2 = u2
+        return (
+            _step_to(c, big_d, env, u, w2)
+            and _step_to(c, big_d, env, side, v2)
+            and _step_to(c, big_d, env_push(env, kind, u), s, b2)
+        )
+    # theta
+    if type(b2) is not Flat or b2[1] != FlatKind.APPL:
+        return False
+    _, _, a2, s2 = b2
+    v2 = delift(0, 1, a2)
+    return (
+        v2 is not None
+        and _step_to(c, big_d, env, side, v2)
+        and _step_to(c, big_d, env, u, u2)
+        and _step_to(c, big_d, env_push(env, kind, u), s, s2)
+    )
 
 
 def lpx_reducts(params: Params, env: Env) -> frozenset[Env]:
@@ -177,13 +177,14 @@ def _seq_steps(c: int, big_d: int, env: Env, term: Term):
     this the relation of choice when scanning for a cycle.
     """
 
-    match term:
-        case Bind(kind, side, body) | Flat(kind, side, body):
-            for s2 in _seq_steps(c, big_d, env, side):
-                yield type(term)(kind, s2, body)
-            inner = env_push(env, kind, side) if isinstance(term, Bind) else env
-            for b2 in _seq_steps(c, big_d, inner, body):
-                yield type(term)(kind, side, b2)
+    cls = type(term)
+    if cls is Bind or cls is Flat:
+        _, kind, side, body = term
+        for s2 in _seq_steps(c, big_d, env, side):
+            yield cls(kind, s2, body)
+        inner = env_push(env, kind, side) if cls is Bind else env
+        for b2 in _seq_steps(c, big_d, inner, body):
+            yield cls(kind, side, b2)
     yield from _contractions((c, big_d), env, term, _itself, 1)
 
 
@@ -262,15 +263,16 @@ def _frees(l: int, env: Env, term: Term) -> tuple[int, ...]:
 def _own_frees(term: Term, depth: int, out: set[int]) -> None:
     """Add the free references of ``term``, read under ``depth`` binders."""
 
-    match term:
-        case Var(i) if i >= depth:
-            out.add(i - depth)
-        case Bind(_, side, body):
-            _own_frees(side, depth, out)
-            _own_frees(body, depth + 1, out)
-        case Flat(_, side, body):
-            _own_frees(side, depth, out)
-            _own_frees(body, depth, out)
+    cls = type(term)
+    if cls is Bind or cls is Flat:
+        _, _, side, body = term
+        _own_frees(side, depth, out)
+        _own_frees(body, depth + 1 if cls is Bind else depth, out)
+    elif cls is Var:
+        if term[1] >= depth:
+            out.add(term[1] - depth)
+    elif cls is not Sort:
+        raise TypeError(f"not a term: {term!r}")
 
 
 def _natural(name: str, value: int) -> None:

@@ -124,15 +124,14 @@ def _congruence(env: Env, term: Term, sub: Sub, budget: int) -> set[Term]:
     """``term`` rebuilt from every choice for its side and body; an atom
     is its own only choice."""
 
-    match term:
-        case Bind() | Flat():  # fields read below: a positional pattern costs more
-            kind, side, body = term.kind, term.side, term.body
-        case _:
-            return {term}
-    inner = env_push(env, kind, side) if isinstance(term, Bind) else env
+    cls = type(term)
+    if cls is not Bind and cls is not Flat:
+        return {term}
+    _, kind, side, body = term
+    inner = env_push(env, kind, side) if cls is Bind else env
     sides, bodies = sub(env, side), sub(inner, body)
     _guard(len(sides) * len(bodies), budget)
-    return {type(term)(kind, s2, b2) for s2 in sides for b2 in bodies}
+    return {cls(kind, s2, b2) for s2 in sides for b2 in bodies}
 
 
 def _contractions(ext: Ext, env: Env, term: Term, sub: Sub, budget: int):
@@ -141,24 +140,15 @@ def _contractions(ext: Ext, env: Env, term: Term, sub: Sub, budget: int):
     every choice ``sub`` offers for it.  Raises ``TypeError`` on a
     non-term."""
 
-    match term:
-        case Sort(k):  # the sort step, extended only
-            if ext is not None and max(ext[1] - k // ext[0], 0) >= 1:
-                yield Sort(k + ext[0])
-        case Var(i):  # delta, on declarations too when extended
-            if i < len(env) and (ext is not None or env[i][0] == BindKind.ABBR):
-                for v2 in sub(env[i + 1 :], env[i][1]):
-                    yield lift(0, i + 1, v2)
-        case Bind(BindKind.ABBR, side, body):  # zeta
-            for b2 in sub(env_push(env, BindKind.ABBR, side), body):
-                dropped = delift(0, 1, b2)
-                if dropped is not None:
-                    yield dropped
-        case Flat(FlatKind.CAST, side, body):  # eps; extended, keep the annotation
+    cls = type(term)
+    if cls is Flat:
+        _, kind, side, body = term
+        if kind == FlatKind.CAST:  # eps; extended, keep the annotation
             yield from sub(env, body)
             if ext is not None:
                 yield from sub(env, side)
-        case Flat(FlatKind.APPL, side, Bind(kind, u, s)):  # beta or theta
+        elif type(body) is Bind:  # beta or theta
+            _, kind, u, s = body
             parts = sub(env, side), sub(env, u), sub(env_push(env, kind, u), s)
             _guard(prod(map(len, parts)), budget)
             for v2, u2, s2 in product(*parts):
@@ -167,10 +157,23 @@ def _contractions(ext: Ext, env: Env, term: Term, sub: Sub, budget: int):
                 else:  # theta
                     v2 = lift(0, 1, v2)
                     yield Bind(BindKind.ABBR, u2, Flat(FlatKind.APPL, v2, s2))
-        case Bind() | Flat():
-            pass
-        case _:
-            raise TypeError(f"not a term: {term!r}")
+    elif cls is Bind:
+        _, kind, side, body = term
+        if kind == BindKind.ABBR:  # zeta
+            for b2 in sub(env_push(env, kind, side), body):
+                dropped = delift(0, 1, b2)
+                if dropped is not None:
+                    yield dropped
+    elif cls is Var:  # delta, on declarations too when extended
+        _, i = term
+        if i < len(env) and (ext is not None or env[i][0] == BindKind.ABBR):
+            for v2 in sub(env[i + 1 :], env[i][1]):
+                yield lift(0, i + 1, v2)
+    elif cls is Sort:  # the sort step, extended only
+        if ext is not None and max(ext[1] - term[1] // ext[0], 0) >= 1:
+            yield Sort(term[1] + ext[0])
+    else:
+        raise TypeError(f"not a term: {term!r}")
 
 
 def cpr_reducts(env: Env, term: Term, budget: int = DEFAULT_BUDGET) -> frozenset[Term]:
@@ -292,12 +295,14 @@ def lsub_walk(
         (k1, s1), (k2, s2) = env1[i], env2[i]
         if k1 == k2 and s1 == s2:
             continue
-        match k1, s1, k2:
-            case BindKind.ABBR, Flat(FlatKind.CAST, w, v), BindKind.ABST if w == s2:
-                if not cast_ok(env1[i + 1 :], env2[i + 1 :], w, v):
-                    return False
-            case _:
-                return False
+        if not (
+            (k1, k2) == (BindKind.ABBR, BindKind.ABST)
+            and type(s1) is Flat
+            and s1[1] == FlatKind.CAST
+            and s1[2] == s2
+            and cast_ok(env1[i + 1 :], env2[i + 1 :], s1[2], s1[3])
+        ):
+            return False
     return True
 
 

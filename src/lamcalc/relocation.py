@@ -29,15 +29,16 @@ RelocPair = tuple[int, int]
 
 
 def lift(l: int, m: int, t: Term) -> Term:
-    match t:
-        case Sort(_):
-            return t
-        case Var(i):
-            return Var(i + m) if i >= l else t
-        case Bind(kind, side, body):
-            return Bind(kind, lift(l, m, side), lift(l + 1, m, body))
-        case Flat(kind, side, body):
-            return Flat(kind, lift(l, m, side), lift(l, m, body))
+    cls = type(t)
+    if cls is Bind or cls is Flat:
+        _, kind, side, body = t
+        inner = l + 1 if cls is Bind else l
+        return cls(kind, lift(l, m, side), lift(inner, m, body))
+    if cls is Var:
+        _, i = t
+        return Var(i + m) if i >= l else t
+    if cls is Sort:
+        return t
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -48,23 +49,23 @@ def delift(l: int, m: int, t: Term) -> Optional[Term]:
     ``l <= i < l + m``.
     """
 
-    match t:
-        case Sort(_):
-            return t
-        case Var(i):
-            if i < l:
-                return t
-            if i >= l + m:
-                return Var(i - m)
+    cls = type(t)
+    if cls is Bind or cls is Flat:
+        _, kind, side, body = t
+        side2 = delift(l, m, side)
+        if side2 is None:
             return None
-        case Bind(kind, side, body) | Flat(kind, side, body):
-            side2 = delift(l, m, side)
-            if side2 is None:
-                return None
-            body2 = delift(l + 1 if isinstance(t, Bind) else l, m, body)
-            if body2 is None:
-                return None
-            return type(t)(kind, side2, body2)
+        body2 = delift(l + 1 if cls is Bind else l, m, body)
+        if body2 is None:
+            return None
+        return cls(kind, side2, body2)
+    if cls is Var:
+        _, i = t
+        if l <= i < l + m:
+            return None
+        return t if i < l else Var(i - m)
+    if cls is Sort:
+        return t
     raise TypeError(f"not a term: {t!r}")
 
 

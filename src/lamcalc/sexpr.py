@@ -140,15 +140,15 @@ def parse_env(text: str) -> Env:
 
 
 def print_term(t: Term) -> str:
-    match t:
-        case Sort(k):
-            return f"*{k}"
-        case Var(i):
-            return f"#{i}"
-        case Bind(kind, side, body):
-            return f"({_BIND_WORD[kind]} {print_term(side)} {print_term(body)})"
-        case Flat(kind, side, body):
-            return f"({_FLAT_WORD[kind]} {print_term(side)} {print_term(body)})"
+    cls = type(t)
+    if cls is Bind or cls is Flat:
+        _, kind, side, body = t
+        word = (_BIND_WORD if cls is Bind else _FLAT_WORD)[kind]
+        return f"({word} {print_term(side)} {print_term(body)})"
+    if cls is Var:
+        return f"#{t[1]}"
+    if cls is Sort:
+        return f"*{t[1]}"
     raise TypeError(f"not a term: {t!r}")
 
 

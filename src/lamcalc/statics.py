@@ -58,39 +58,38 @@ def _lstas(c: int, env: Env, term: Term, n: int) -> Optional[Term]:
 
 
 def _lstas_raw(c: int, env: Env, term: Term, n: int) -> Optional[Term]:
-    match term:
-        case Sort(k):
-            return Sort(k + n * c)
-        case Var(i):
-            if i >= len(env):
+    cls = type(term)
+    if cls is Bind:
+        _, kind, side, body = term
+        inner = _lstas(c, env_push(env, kind, side), body, n)
+        return None if inner is None else Bind(kind, side, inner)
+    if cls is Flat:  # a cast is its body's, an application keeps its argument
+        _, kind, side, body = term
+        inner = _lstas(c, env, body, n)
+        if inner is None or kind == FlatKind.CAST:
+            return inner
+        return Flat(kind, side, inner)
+    if cls is Var:
+        _, i = term
+        if i >= len(env):
+            return None
+        kind, side = env[i]
+        rest = env[i + 1 :]
+        if kind == BindKind.ABBR:
+            inner = _lstas(c, rest, side, n)
+        elif n == 0:
+            # a declared variable is its own static type, provided the
+            # declared type has one
+            if _lstas(c, rest, side, 0) is None:
                 return None
-            kind, side = env[i]
-            rest = env[i + 1 :]
-            if kind == BindKind.ABBR:
-                inner = _lstas(c, rest, side, n)
-            elif n == 0:
-                # a declared variable is its own static type, provided the
-                # declared type has one
-                if _lstas(c, rest, side, 0) is None:
-                    return None
-                return term
-            else:
-                inner = _lstas(c, rest, side, n - 1)
-            if inner is None:
-                return None
-            return lift(0, i + 1, inner)
-        case Bind(kind, side, body):
-            inner = _lstas(c, env_push(env, kind, side), body, n)
-            if inner is None:
-                return None
-            return Bind(kind, side, inner)
-        case Flat(FlatKind.APPL, side, body):
-            inner = _lstas(c, env, body, n)
-            if inner is None:
-                return None
-            return Flat(FlatKind.APPL, side, inner)
-        case Flat(FlatKind.CAST, _, body):
-            return _lstas(c, env, body, n)
+            return term
+        else:
+            inner = _lstas(c, rest, side, n - 1)
+        if inner is None:
+            return None
+        return lift(0, i + 1, inner)
+    if cls is Sort:
+        return Sort(term[1] + n * c)
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -109,22 +108,24 @@ def _da(c: int, big_d: int, env: Env, term: Term) -> Optional[int]:
 
 
 def _da_raw(c: int, big_d: int, env: Env, term: Term) -> Optional[int]:
-    match term:
-        case Sort(k):
-            d = big_d - k // c
-            return d if d > 0 else 0
-        case Var(i):
-            if i >= len(env):
-                return None
-            kind, side = env[i]
-            inner = _da(c, big_d, env[i + 1 :], side)
-            if inner is None:
-                return None
-            return inner if kind == BindKind.ABBR else inner + 1
-        case Bind(kind, side, body):
-            return _da(c, big_d, env_push(env, kind, side), body)
-        case Flat(_, _, body):
-            return _da(c, big_d, env, body)
+    cls = type(term)
+    if cls is Bind:
+        _, kind, side, body = term
+        return _da(c, big_d, env_push(env, kind, side), body)
+    if cls is Flat:
+        return _da(c, big_d, env, term[3])
+    if cls is Var:
+        _, i = term
+        if i >= len(env):
+            return None
+        kind, side = env[i]
+        inner = _da(c, big_d, env[i + 1 :], side)
+        if inner is None:
+            return None
+        return inner if kind == BindKind.ABBR else inner + 1
+    if cls is Sort:
+        d = big_d - term[1] // c
+        return d if d > 0 else 0
     raise TypeError(f"not a term: {term!r}")
 
 

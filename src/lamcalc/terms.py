@@ -80,6 +80,14 @@ class Term(tuple):
     the total order on terms (see :func:`lamcalc.universe.term_key`).
     Fields are read-only properties named by ``__match_args__``, so class
     patterns match positionally and by keyword.
+
+    The kernel dispatches on ``type(t)`` and unpacks the tuple; class
+    patterns are for callers and the independent oracles.  In Python 3.11
+    a call that matches one ``abst`` term against the four classes costs
+    about 0.45 us, 0.94 us with a value pattern such as
+    ``Bind(BindKind.ABST, side, body)``, against 0.09 us for the type
+    test and the unpacking: a pattern tests ``isinstance`` and then calls
+    one property per field.
     """
 
     __slots__ = ()
@@ -243,25 +251,23 @@ def simple(t: Term) -> bool:
 def tsts(t1: Term, t2: Term) -> bool:
     """Same top structure: identical atom, or same-kind binary constructor."""
 
-    match t1, t2:
-        case (Sort(_), Sort(_)) | (Var(_), Var(_)):
-            return t1 == t2
-        case Bind(kind=k1), Bind(kind=k2):
-            return k1 == k2
-        case Flat(kind=k1), Flat(kind=k2):
-            return k1 == k2
-        case _:
-            return False
+    for t in (t1, t2):
+        if not isinstance(t, Term):
+            raise TypeError(f"not a term: {t!r}")
+    # the first field: an atom's sort or index, a binary constructor's kind
+    return type(t1) is type(t2) and t1[1] == t2[1]
 
 
 def term_size(t: Term) -> int:
     """Number of constructors in ``t``."""
 
-    match t:
-        case Bind(_, w, u) | Flat(_, w, u):
-            return 1 + term_size(w) + term_size(u)
-        case _:
-            return 1
+    cls = type(t)
+    if cls is Bind or cls is Flat:
+        _, _, side, body = t
+        return 1 + term_size(side) + term_size(body)
+    if cls is Sort or cls is Var:
+        return 1
+    raise TypeError(f"not a term: {t!r}")
 
 
 def closure_measure(c: Closure) -> int:

@@ -133,27 +133,18 @@ def snv_check(params: Params, env: Env, term: Term) -> ValidityReport:
 
 
 def _snv(params: Params, env: Env, term: Term, pos: str) -> ValidityReport:
-    match term:
-        case Sort(_):
-            return ValidityReport(True)
-        case Var(i):
-            if i >= len(env):
-                return _invalid(pos, "lref", "reference beyond the environment")
-            return _snv(params, env[i + 1 :], env[i][1], _at(pos, "entry"))
-        case Bind(kind, side, body):
-            got = _snv(params, env, side, _at(pos, "side"))
-            if not got.valid:
-                return got
-            return _snv(
-                params, env_push(env, kind, side), body, _at(pos, "body")
-            )
-        case Flat(FlatKind.CAST, side, body):
-            got = _snv(params, env, side, _at(pos, "side"))
-            if not got.valid:
-                return got
-            got = _snv(params, env, body, _at(pos, "body"))
-            if not got.valid:
-                return got
+    cls = type(term)
+    if cls is Bind or cls is Flat:
+        _, kind, side, body = term
+        got = _snv(params, env, side, _at(pos, "side"))
+        if not got.valid:
+            return got
+        if cls is Bind:
+            return _snv(params, env_push(env, kind, side), body, _at(pos, "body"))
+        got = _snv(params, env, body, _at(pos, "body"))
+        if not got.valid:
+            return got
+        if kind == FlatKind.CAST:
             if da(params, env, side) is None:
                 return _invalid(pos, "cast", "annotation has no degree")
             d = da(params, env, body)
@@ -173,35 +164,33 @@ def _snv(params: Params, env: Env, term: Term, pos: str) -> ValidityReport:
                     f"{print_term(n1)}",
                 )
             return ValidityReport(True)
-        case Flat(FlatKind.APPL, side, body):
-            got = _snv(params, env, side, _at(pos, "side"))
-            if not got.valid:
-                return got
-            got = _snv(params, env, body, _at(pos, "body"))
-            if not got.valid:
-                return got
-            dv = da(params, env, side)
-            if dv is None or dv < 1:
-                return _invalid(pos, "appl", "argument degree must be at least 1")
-            w = lstas(params, env, side, 1)
-            if w is None:
-                return _invalid(pos, "appl", "argument type undefined")
-            w0 = normalize(env, w, params.fuel)
-            dt = da(params, env, body)
-            if dt is None:
-                return _invalid(pos, "appl", "function has no degree")
-            for n in range(dt + 1):
-                x = lstas(params, env, body, n)
-                if x is None:
-                    continue
-                match normalize(env, x, params.fuel):
-                    case Bind(BindKind.ABST, dom, _) if dom == w0:
-                        return ValidityReport(True)
-            return _invalid(
-                pos,
-                "appl",
-                f"no iterated type abstracts over {print_term(w0)}",
-            )
+        dv = da(params, env, side)  # an application
+        if dv is None or dv < 1:
+            return _invalid(pos, "appl", "argument degree must be at least 1")
+        w = lstas(params, env, side, 1)
+        if w is None:
+            return _invalid(pos, "appl", "argument type undefined")
+        w0 = normalize(env, w, params.fuel)
+        dt = da(params, env, body)
+        if dt is None:
+            return _invalid(pos, "appl", "function has no degree")
+        for n in range(dt + 1):
+            x = lstas(params, env, body, n)
+            if x is None:
+                continue
+            nf = normalize(env, x, params.fuel)
+            if type(nf) is Bind and nf[1] == BindKind.ABST and nf[2] == w0:
+                return ValidityReport(True)
+        return _invalid(
+            pos, "appl", f"no iterated type abstracts over {print_term(w0)}"
+        )
+    if cls is Var:
+        _, i = term
+        if i >= len(env):
+            return _invalid(pos, "lref", "reference beyond the environment")
+        return _snv(params, env[i + 1 :], env[i][1], _at(pos, "entry"))
+    if cls is Sort:
+        return ValidityReport(True)
     raise TypeError(f"not a term: {term!r}")
 
 

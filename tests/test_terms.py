@@ -6,26 +6,58 @@ key that built the term order by hand before terms became tuples.
 
 from __future__ import annotations
 
+import ast
 import copy
 import json
 import pickle
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import lamcalc
 from lamcalc import (
     Bind,
     BindKind,
+    Closure,
     Flat,
     FlatKind,
+    Params,
     Sort,
     Var,
+    aaa,
     abst,
     appl,
+    cast,
+    clear_caches,
+    cnx_holds,
+    cpr_full,
+    cpr_reducts,
+    cpx_holds,
+    cpx_reducts,
+    csx_certify,
+    da,
+    delift,
+    fpb_successors,
+    fqu_children,
+    fquq_holds,
+    frees_holds,
+    frees_indices,
+    lift,
+    lleq_holds,
+    llor,
+    lstas,
+    lsubr_holds,
+    normalize,
     parse_term,
+    print_term,
+    snv_check,
+    term_size,
+    tsts,
 )
+from lamcalc.terms import closure_measure
 from lamcalc.universe import (
     closure_key,
     enumerate_closures,
@@ -194,3 +226,101 @@ print(json.dumps([sys.getrecursionlimit(), hash(t) == hash(chain(10_000)), t in 
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     assert json.loads(done.stdout) == [1000, True, True]
+
+
+# ------------------------------------------------------------- dispatch
+
+P = Params()
+
+# The public entry points of the kernel functions that dispatch on a term's
+# class, each called on the non-term ``x``.
+REFUSERS = {
+    "lift": lambda x: lift(0, 1, x),
+    "delift": lambda x: delift(0, 1, x),
+    "lstas": lambda x: lstas(P, (), x, 1),
+    "da": lambda x: da(P, (), x),
+    "aaa": lambda x: aaa((), x),
+    "cpr_reducts": lambda x: cpr_reducts((), x),
+    "cpr_full": lambda x: cpr_full((), x),
+    "normalize": lambda x: normalize((), x),
+    "cpx_reducts": lambda x: cpx_reducts(P, (), x),
+    "cpx_holds": lambda x: cpx_holds(P, (), x, Sort(0)),
+    "cnx_holds": lambda x: cnx_holds(P, (), x),
+    "csx_certify": lambda x: csx_certify(P, (), x),
+    "frees_holds": lambda x: frees_holds(0, 0, (), x),
+    "frees_indices": lambda x: frees_indices(0, (), x, 1),
+    "lleq_holds": lambda x: lleq_holds(0, x, (), ()),
+    "llor": lambda x: llor(0, x, (), ()),
+    "fqu_children": lambda x: fqu_children((), x),
+    "fquq_holds": lambda x: fquq_holds(Closure((), x), Closure((), Sort(0))),
+    "fpb_successors": lambda x: fpb_successors(P, (), x),
+    "tsts-left": lambda x: tsts(x, Sort(0)),
+    "tsts-right": lambda x: tsts(Sort(0), x),
+    "term_size": lambda x: term_size(x),
+    "closure_measure": lambda x: closure_measure(Closure((), x)),
+    "print_term": lambda x: print_term(x),
+    "snv_check": lambda x: snv_check(P, (), x),
+}
+
+# The last one is a plain tuple shaped like ``Bind(ABBR, *0, *0)``: it is
+# equal to that term and hashes like it, so only dispatch on the class
+# refuses it.
+NON_TERMS = {
+    "str-tuple": ("x",),
+    "int": 7,
+    "look-alike": (2, BindKind.ABBR, Sort(0), Sort(0)),
+}
+
+
+@pytest.mark.parametrize("non_term", NON_TERMS.values(), ids=NON_TERMS)
+@pytest.mark.parametrize("entry", REFUSERS.values(), ids=REFUSERS)
+def test_non_terms_are_refused(entry, non_term):
+    """Each entry point raises on a non-term from empty memo tables, and
+    again after that: a refusal is not remembered as an answer."""
+
+    clear_caches()
+    for _ in range(2):
+        with pytest.raises(TypeError, match="not a term"):
+            entry(non_term)
+
+
+def test_a_look_alike_cast_is_no_refinement():
+    """The environment refinements take ``def (cast w v)`` for ``dec w``
+    only when the entry is a ``Flat``, not a tuple shaped like one."""
+
+    w, v = Sort(1), Sort(0)
+    env2 = ((BindKind.ABST, w),)
+    assert lsubr_holds(((BindKind.ABBR, cast(w, v)),), env2)
+    look_alike = (3, FlatKind.CAST, w, v)
+    assert look_alike == cast(w, v)
+    assert not lsubr_holds(((BindKind.ABBR, look_alike),), env2)
+
+
+# Term classes, and the one class a kernel function dispatches on that is
+# not a term: class patterns on these cost an isinstance test and a
+# property call per field, so the kernel tests ``type(t)`` and unpacks.
+PATTERN_CLASSES = {"Sort", "Var", "Bind", "Flat", "Arrow"}
+# The independent oracles keep their patterns: they are the cross-checks.
+PATTERN_EXEMPT = {("props", "_lleq_recursive"), ("validity", "snv_oracle")}
+
+
+def class_patterns(module: str, tree: ast.Module):
+    """``(module, name, line)`` of each class pattern on a term class, the
+    name being that of the top-level function or class enclosing it."""
+
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.MatchClass):
+                cls = node.cls
+                name = cls.attr if isinstance(cls, ast.Attribute) else cls.id
+                if name in PATTERN_CLASSES:
+                    yield module, getattr(top, "name", "<module>"), node.lineno
+
+
+def test_kernel_dispatches_without_class_patterns():
+    found = set()
+    for path in sorted(Path(lamcalc.__file__).parent.glob("*.py")):
+        found.update(class_patterns(path.stem, ast.parse(path.read_text())))
+    assert {f for f in found if f[:2] not in PATTERN_EXEMPT} == set()
+    # the walk does see patterns: each oracle still has its own
+    assert {f[:2] for f in found} == PATTERN_EXEMPT
