@@ -37,51 +37,41 @@ class Arrow:
 Arity = Base | Arrow
 
 
-def aaa(env: Env, term: Term) -> Optional[Arity]:
-    """Infer the atomic arity, or ``None`` if there is none."""
-
-    return _aaa(env, term)
-
-
 # Arities by environment and term; ``None`` is a result.
 _AAA: dict[Env, dict[Term, Optional[Arity]]] = {}
 
 
-def _aaa(env: Env, term: Term) -> Optional[Arity]:
+def aaa(env: Env, term: Term) -> Optional[Arity]:
+    """Infer the atomic arity, or ``None`` if there is none."""
+
     got = _AAA.get(env, _UNSET).get(term, _UNSET)
-    if got is _UNSET:
-        got = _AAA.setdefault(env, {})[term] = _aaa_raw(env, term)
-    return got
-
-
-def _aaa_raw(env: Env, term: Term) -> Optional[Arity]:
+    if got is not _UNSET:
+        return got
     cls = type(term)
     if cls is Bind:
         _, kind, side, body = term
-        dom = _aaa(env, side)
-        if dom is None:
-            return None
-        cod = _aaa(env_push(env, kind, side), body)
-        if cod is None or kind == BindKind.ABBR:
-            return cod
-        return Arrow(dom, cod)
-    if cls is Flat:
+        dom = aaa(env, side)
+        cod = None if dom is None else aaa(env_push(env, kind, side), body)
+        got = cod if cod is None or kind == BindKind.ABBR else Arrow(dom, cod)
+    elif cls is Flat:
         _, kind, side, body = term
-        arg = _aaa(env, side)
-        fun = _aaa(env, body)
+        arg = aaa(env, side)
+        fun = aaa(env, body)
         if arg is None:
-            return None
-        if kind == FlatKind.CAST:  # the annotation's arity is the subject's
-            return fun if arg == fun else None
-        return fun.cod if type(fun) is Arrow and fun.dom == arg else None
-    if cls is Var:
+            got = None
+        elif kind == FlatKind.CAST:  # the annotation's arity is the subject's
+            got = fun if arg == fun else None
+        else:
+            got = fun.cod if type(fun) is Arrow and fun.dom == arg else None
+    elif cls is Var:
         _, i = term
-        if i >= len(env):
-            return None
-        return _aaa(env[i + 1 :], env[i][1])
-    if cls is Sort:
-        return Base()
-    raise TypeError(f"not a term: {term!r}")
+        got = aaa(env[i + 1 :], env[i][1]) if i < len(env) else None
+    elif cls is Sort:
+        got = Base()
+    else:
+        raise TypeError(f"not a term: {term!r}")
+    _AAA.setdefault(env, {})[term] = got
+    return got
 
 
 def lsuba_holds(env1: Env, env2: Env) -> bool:

@@ -177,19 +177,17 @@ def fpbq_holds(params: Params, c1: Closure, c2: Closure) -> bool:
     """One step between closures, equivalence included.
 
     Decided rule by rule rather than by enumerating successors, because
-    the equivalence rule alone has unboundedly many partners: a term
-    reduct over a fixed environment, an environment reduct or a lazily
-    equal environment under a fixed term, or a subclosure (reflexively).
+    the equivalence rule alone has unboundedly many partners: a lazily
+    equal environment under the same term, or one proper step
+    (:func:`_fpb_holds`).  Every reflexive case — the closure itself, a
+    term or an environment stepping to itself — keeps the term and has
+    an environment lazily equal to its own.
     """
 
     (env1, t1), (env2, t2) = c1, c2
-    if env1 == env2 and _step_to(params.c, params.big_d, env1, t1, t2):
+    if t1 == t2 and lleq_holds(0, t1, env1, env2):
         return True
-    if t1 == t2 and (
-        lpx_holds(params, env1, env2) or lleq_holds(0, t1, env1, env2)
-    ):
-        return True
-    return fquq_holds(c1, c2)
+    return _fpb_holds(params, c1, c2)
 
 
 def _fpb_holds(params: Params, c1: Closure, c2: Closure) -> bool:
@@ -202,7 +200,7 @@ def _fpb_holds(params: Params, c1: Closure, c2: Closure) -> bool:
     """
 
     (env1, t1), (env2, t2) = c1, c2
-    if env1 == env2 and t1 != t2 and _step_to(params.c, params.big_d, env1, t1, t2):
+    if env1 == env2 and t1 != t2 and _step_to((params.c, params.big_d), env1, t1, t2):
         return True
     if (
         t1 == t2
@@ -223,8 +221,9 @@ def _closure_seq_steps(params: Params, c: Closure):
     """
 
     env, term = c
+    ext = (params.c, params.big_d)
     yield from fqu_children(env, term)
-    for t2 in _seq_steps(params.c, params.big_d, env, term):
+    for t2 in _seq_steps(ext, env, term):
         if t2 != term:
             yield Closure(env, t2)
     # a step on one entry breaks lazy equivalence exactly when the term
@@ -233,7 +232,7 @@ def _closure_seq_steps(params: Params, c: Closure):
         if i >= len(env):
             break
         kind, side = env[i]
-        for s2 in _seq_steps(params.c, params.big_d, env[i + 1 :], side):
+        for s2 in _seq_steps(ext, env[i + 1 :], side):
             if s2 != side:
                 yield Closure(env[:i] + ((kind, s2),) + env[i + 1 :], term)
 

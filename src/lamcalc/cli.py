@@ -28,7 +28,8 @@ from .traversal import Cycle
 
 __all__ = ["main", "run"]
 
-_DEFAULTS = {"c": 1, "D": 2, "fuel": 1000, "budget": 100000}
+_DEFAULTS = {"c": Params.c, "D": Params.big_d,
+             "fuel": Params.fuel, "budget": Params.budget}
 
 _EXIT_OK = 0
 _EXIT_FAILS = 1

@@ -71,51 +71,52 @@ def cpx_holds(params: Params, env: Env, t1: Term, t2: Term) -> bool:
     """Decide one extended parallel step without enumerating the reduct
     set, by matching the target against each way a step can produce it."""
 
-    return _step_to(params.c, params.big_d, env, t1, t2)
+    return _step_to((params.c, params.big_d), env, t1, t2)
 
 
 _STEP: dict[tuple[int, int], dict[Env, dict[Term, dict[Term, bool]]]] = {}
 
 
-def _step_to(c: int, big_d: int, env: Env, t1: Term, t2: Term) -> bool:
+def _step_to(ext: tuple[int, int], env: Env, t1: Term, t2: Term) -> bool:
     if t1 == t2:
         return True
-    got = _STEP.get((c, big_d), _UNSET).get(env, _UNSET).get(t1, _UNSET).get(t2)
+    got = _STEP.get(ext, _UNSET).get(env, _UNSET).get(t1, _UNSET).get(t2)
     if got is None:
-        got = _step_to_raw(c, big_d, env, t1, t2)
-        by_t1 = _STEP.setdefault((c, big_d), {}).setdefault(env, {})
+        got = _step_to_raw(ext, env, t1, t2)
+        by_t1 = _STEP.setdefault(ext, {}).setdefault(env, {})
         by_t1.setdefault(t1, {})[t2] = got
     return got
 
 
-def _step_to_raw(c: int, big_d: int, env: Env, t1: Term, t2: Term) -> bool:
+def _step_to_raw(ext: tuple[int, int], env: Env, t1: Term, t2: Term) -> bool:
     # Each rule is matched backwards from the target, independently of the
     # enumeration's statement of it, so each can check the other.
     cls = type(t1)
     if cls is Bind or cls is Flat:
         _, kind, side, body = t1
         # the congruence: same constructor and kind, and each part steps
-        if type(t2) is cls and t2[1] == kind and _step_to(c, big_d, env, side, t2[2]):
+        if type(t2) is cls and t2[1] == kind and _step_to(ext, env, side, t2[2]):
             inner = env_push(env, kind, side) if cls is Bind else env
-            if _step_to(c, big_d, inner, body, t2[3]):
+            if _step_to(ext, inner, body, t2[3]):
                 return True
     elif cls is Var:
         _, i = t1
         if i >= len(env):
             return False
         v2 = delift(0, i + 1, t2)
-        return v2 is not None and _step_to(c, big_d, env[i + 1 :], env[i][1], v2)
+        return v2 is not None and _step_to(ext, env[i + 1 :], env[i][1], v2)
     elif cls is Sort:
         _, k = t1
+        c, big_d = ext
         return t2 == Sort(k + c) and max(big_d - k // c, 0) >= 1
     else:
         raise TypeError(f"not a term: {t1!r}")
     if cls is Bind:  # zeta
         return kind == BindKind.ABBR and _step_to(
-            c, big_d, env_push(env, kind, side), body, lift(0, 1, t2)
+            ext, env_push(env, kind, side), body, lift(0, 1, t2)
         )
     if kind == FlatKind.CAST:  # eps, or e keeping the annotation
-        return _step_to(c, big_d, env, body, t2) or _step_to(c, big_d, env, side, t2)
+        return _step_to(ext, env, body, t2) or _step_to(ext, env, side, t2)
     if type(body) is not Bind or type(t2) is not Bind or t2[1] != BindKind.ABBR:
         return False
     _, kind, u, s = body
@@ -125,9 +126,9 @@ def _step_to_raw(c: int, big_d: int, env: Env, t1: Term, t2: Term) -> bool:
             return False
         _, _, w2, v2 = u2
         return (
-            _step_to(c, big_d, env, u, w2)
-            and _step_to(c, big_d, env, side, v2)
-            and _step_to(c, big_d, env_push(env, kind, u), s, b2)
+            _step_to(ext, env, u, w2)
+            and _step_to(ext, env, side, v2)
+            and _step_to(ext, env_push(env, kind, u), s, b2)
         )
     # theta
     if type(b2) is not Flat or b2[1] != FlatKind.APPL:
@@ -136,9 +137,9 @@ def _step_to_raw(c: int, big_d: int, env: Env, t1: Term, t2: Term) -> bool:
     v2 = delift(0, 1, a2)
     return (
         v2 is not None
-        and _step_to(c, big_d, env, side, v2)
-        and _step_to(c, big_d, env, u, u2)
-        and _step_to(c, big_d, env_push(env, kind, u), s, s2)
+        and _step_to(ext, env, side, v2)
+        and _step_to(ext, env, u, u2)
+        and _step_to(ext, env_push(env, kind, u), s, s2)
     )
 
 
@@ -152,8 +153,9 @@ def lpx_reducts(params: Params, env: Env) -> frozenset[Env]:
 def lpx_holds(params: Params, env1: Env, env2: Env) -> bool:
     if len(env1) != len(env2):
         return False
+    ext = (params.c, params.big_d)
     return all(
-        k1 == k2 and _step_to(params.c, params.big_d, env1[i + 1 :], s1, s2)
+        k1 == k2 and _step_to(ext, env1[i + 1 :], s1, s2)
         for i, ((k1, s1), (k2, s2)) in enumerate(zip(env1, env2))
     )
 
@@ -165,10 +167,10 @@ def cnx_holds(params: Params, env: Env, term: Term) -> bool:
     different term, and a proper parallel step factors into at least one.
     """
 
-    return next(_seq_steps(params.c, params.big_d, env, term), None) is None
+    return next(_seq_steps((params.c, params.big_d), env, term), None) is None
 
 
-def _seq_steps(c: int, big_d: int, env: Env, term: Term):
+def _seq_steps(ext: tuple[int, int], env: Env, term: Term):
     """Single-redex steps, the sequential skeleton of extended reduction.
 
     Every such step is an extended parallel step, and every parallel step
@@ -180,12 +182,12 @@ def _seq_steps(c: int, big_d: int, env: Env, term: Term):
     cls = type(term)
     if cls is Bind or cls is Flat:
         _, kind, side, body = term
-        for s2 in _seq_steps(c, big_d, env, side):
+        for s2 in _seq_steps(ext, env, side):
             yield cls(kind, s2, body)
         inner = env_push(env, kind, side) if cls is Bind else env
-        for b2 in _seq_steps(c, big_d, inner, body):
+        for b2 in _seq_steps(ext, inner, body):
             yield cls(kind, side, b2)
-    yield from _contractions((c, big_d), env, term, _itself, 1)
+    yield from _contractions(ext, env, term, _itself, 1)
 
 
 def _itself(_: Env, part: Term) -> tuple[Term]:
@@ -221,8 +223,8 @@ def csx_certify(params: Params, env: Env, term: Term) -> SnReport | Cycle:
         term,
         measure=term_size,
         key=term_key,
-        skeleton=lambda t: _seq_steps(params.c, params.big_d, env, t),
-        closes=lambda t, back: _step_to(params.c, params.big_d, env, t, back),
+        skeleton=lambda t: _seq_steps(ext, env, t),
+        closes=lambda t, back: _step_to(ext, env, t, back),
         depth=0 if aaa(env, term) is not None else CYCLE_SCAN_DEPTH,
         successors=lambda t: one_step(ext, env, t, params.budget),
         budget=params.budget,

@@ -7,6 +7,15 @@ those modules do not all reach one shared list: whatever keeps one of
 them alive (a type cache keeping its classes after a re-import, say)
 keeps only that one.
 
+A memoized judgment is one function: it looks its arguments up in its
+table, and on a miss computes the answer, recursing into itself, stores
+it and returns it, so each level of a term costs one stack frame.  A
+table keyed by the sort hierarchy is looked up with the one
+``(c, big_d)`` value that its judgment is passed and passes on, so no
+call builds that key anew.  A judgment gets no table when another table
+already holds its work: ``normalize`` iterates the memoized development,
+so it honours ``fuel`` however warm the table is.
+
 A table is nested one dict level per argument, the few-valued arguments
 (a sort hierarchy, a level) first, then the environment, then the term,
 with the result at the leaf: ``_ONE_STEP[ext][env][term]``, say, rather
@@ -30,7 +39,6 @@ __all__ = ["TABLES", "clear_caches"]
 TABLES = (
     reduction._ONE_STEP,
     reduction._FULL,
-    reduction._NF,
     statics._LSTAS,
     statics._DA,
     arity._AAA,

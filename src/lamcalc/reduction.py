@@ -38,6 +38,7 @@ from .terms import (
     Env,
     Flat,
     FlatKind,
+    Params,
     Sort,
     Term,
     Var,
@@ -62,8 +63,8 @@ __all__ = [
     "lsubr_holds",
 ]
 
-DEFAULT_BUDGET = 100000
-DEFAULT_FUEL = 1000
+DEFAULT_BUDGET = Params.budget
+DEFAULT_FUEL = Params.fuel
 
 # Extended-rule switch of the one-step core: None for plain reduction, or
 # the sort hierarchy ``(c, big_d)`` of the extended relation.
@@ -72,7 +73,6 @@ Ext = Optional[tuple[int, int]]
 # The memo tables are nested one level per argument (see lamcalc.memo).
 _ONE_STEP: dict[Ext, dict[Env, dict[Term, frozenset[Term]]]] = {}
 _FULL: dict[Env, dict[Term, Term]] = {}
-_NF: dict[Env, dict[Term, tuple[Term, int]]] = {}
 
 # The default of every ``.get`` in a lookup through nested memo tables: a
 # level that holds nothing yet reads as this empty mapping, and a miss at
@@ -235,27 +235,15 @@ def _develop(env: Env, term: Term) -> tuple[Term]:
 
 
 def normalize(env: Env, term: Term, fuel: int = DEFAULT_FUEL) -> Term:
-    """Iterate cpr_full to a fixpoint; raise FuelExhausted past ``fuel``.
+    """Iterate cpr_full to a fixpoint; raise FuelExhausted past ``fuel``."""
 
-    The memo table keeps the number of rounds each normal form took, so a
-    warm call runs out of fuel where a cold one would.
-    """
-
-    got = _NF.get(env, _UNSET).get(term)
-    if got is None:
-        t = term
-        for rounds in range(fuel + 1):
-            (t2,) = _develop(env, t)  # one frame fewer than cpr_full
-            if t2 == t:
-                break
-            t = t2
-        else:
-            raise FuelExhausted(f"no normal form within {fuel} rounds")
-        got = _NF.setdefault(env, {})[term] = (t, rounds)
-    nf, rounds = got
-    if rounds > fuel:
-        raise FuelExhausted(f"no normal form within {fuel} rounds")
-    return nf
+    t = term
+    for _ in range(fuel + 1):
+        (t2,) = _develop(env, t)  # one frame fewer than cpr_full
+        if t2 == t:
+            return t
+        t = t2
+    raise FuelExhausted(f"no normal form within {fuel} rounds")
 
 
 def cprs_holds(env: Env, t1: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> bool:

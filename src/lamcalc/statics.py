@@ -51,82 +51,73 @@ _DA: dict[tuple[int, int], dict[Env, dict[Term, Optional[int]]]] = {}
 
 def _lstas(c: int, env: Env, term: Term, n: int) -> Optional[Term]:
     got = _LSTAS.get((c, n), _UNSET).get(env, _UNSET).get(term, _UNSET)
-    if got is _UNSET:
-        got = _lstas_raw(c, env, term, n)
-        _LSTAS.setdefault((c, n), {}).setdefault(env, {})[term] = got
-    return got
-
-
-def _lstas_raw(c: int, env: Env, term: Term, n: int) -> Optional[Term]:
+    if got is not _UNSET:
+        return got
     cls = type(term)
     if cls is Bind:
         _, kind, side, body = term
-        inner = _lstas(c, env_push(env, kind, side), body, n)
-        return None if inner is None else Bind(kind, side, inner)
-    if cls is Flat:  # a cast is its body's, an application keeps its argument
+        got = _lstas(c, env_push(env, kind, side), body, n)
+        if got is not None:
+            got = Bind(kind, side, got)
+    elif cls is Flat:  # a cast is its body's, an application keeps its argument
         _, kind, side, body = term
-        inner = _lstas(c, env, body, n)
-        if inner is None or kind == FlatKind.CAST:
-            return inner
-        return Flat(kind, side, inner)
-    if cls is Var:
+        got = _lstas(c, env, body, n)
+        if got is not None and kind != FlatKind.CAST:
+            got = Flat(kind, side, got)
+    elif cls is Var:
         _, i = term
-        if i >= len(env):
-            return None
-        kind, side = env[i]
-        rest = env[i + 1 :]
-        if kind == BindKind.ABBR:
-            inner = _lstas(c, rest, side, n)
-        elif n == 0:
-            # a declared variable is its own static type, provided the
-            # declared type has one
-            if _lstas(c, rest, side, 0) is None:
-                return None
-            return term
-        else:
-            inner = _lstas(c, rest, side, n - 1)
-        if inner is None:
-            return None
-        return lift(0, i + 1, inner)
-    if cls is Sort:
-        return Sort(term[1] + n * c)
-    raise TypeError(f"not a term: {term!r}")
+        got = None
+        if i < len(env):
+            kind, side = env[i]
+            rest = env[i + 1 :]
+            if kind != BindKind.ABBR and n == 0:
+                # a declared variable is its own static type, provided the
+                # declared type has one
+                if _lstas(c, rest, side, 0) is not None:
+                    got = term
+            else:
+                inner = _lstas(c, rest, side, n if kind == BindKind.ABBR else n - 1)
+                if inner is not None:
+                    got = lift(0, i + 1, inner)
+    elif cls is Sort:
+        got = Sort(term[1] + n * c)
+    else:
+        raise TypeError(f"not a term: {term!r}")
+    _LSTAS.setdefault((c, n), {}).setdefault(env, {})[term] = got
+    return got
 
 
 def da(params: Params, env: Env, term: Term) -> Optional[int]:
     """Degree of a term, or ``None`` when unassigned."""
 
-    return _da(params.c, params.big_d, env, term)
+    return _da((params.c, params.big_d), env, term)
 
 
-def _da(c: int, big_d: int, env: Env, term: Term) -> Optional[int]:
-    got = _DA.get((c, big_d), _UNSET).get(env, _UNSET).get(term, _UNSET)
-    if got is _UNSET:
-        got = _da_raw(c, big_d, env, term)
-        _DA.setdefault((c, big_d), {}).setdefault(env, {})[term] = got
-    return got
-
-
-def _da_raw(c: int, big_d: int, env: Env, term: Term) -> Optional[int]:
+def _da(ext: tuple[int, int], env: Env, term: Term) -> Optional[int]:
+    got = _DA.get(ext, _UNSET).get(env, _UNSET).get(term, _UNSET)
+    if got is not _UNSET:
+        return got
     cls = type(term)
     if cls is Bind:
         _, kind, side, body = term
-        return _da(c, big_d, env_push(env, kind, side), body)
-    if cls is Flat:
-        return _da(c, big_d, env, term[3])
-    if cls is Var:
+        got = _da(ext, env_push(env, kind, side), body)
+    elif cls is Flat:
+        got = _da(ext, env, term[3])
+    elif cls is Var:
         _, i = term
-        if i >= len(env):
-            return None
-        kind, side = env[i]
-        inner = _da(c, big_d, env[i + 1 :], side)
-        if inner is None:
-            return None
-        return inner if kind == BindKind.ABBR else inner + 1
-    if cls is Sort:
-        d = big_d - term[1] // c
-        return d if d > 0 else 0
-    raise TypeError(f"not a term: {term!r}")
+        got = None
+        if i < len(env):
+            kind, side = env[i]
+            got = _da(ext, env[i + 1 :], side)
+            if got is not None and kind != BindKind.ABBR:
+                got += 1
+    elif cls is Sort:
+        c, big_d = ext
+        got = max(big_d - term[1] // c, 0)
+    else:
+        raise TypeError(f"not a term: {term!r}")
+    _DA.setdefault(ext, {}).setdefault(env, {})[term] = got
+    return got
 
 
 def lsubd_holds(params: Params, env1: Env, env2: Env) -> bool:

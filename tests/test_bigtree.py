@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from graph_oracle import graph_report
 from lamcalc import BudgetExceeded, Params, aaa, clear_caches, parse_env, parse_term
 from lamcalc.bigtree import (
     BigTreeReport,
@@ -38,49 +39,11 @@ OMEGA_K = parse_term(
 )
 
 
-def _graph_report(root, successors, cap=30000):
-    """BFS the reachable graph; None if cyclic by Kahn's peeling, else
-    (nodes, edges, longest path)."""
-
-    seen = {root}
-    frontier = [root]
-    edges = {}
-    while frontier:
-        fresh = []
-        for n in frontier:
-            outs = successors(n)
-            edges[n] = outs
-            for m in outs:
-                if m not in seen:
-                    seen.add(m)
-                    assert len(seen) <= cap, "oracle cap"
-                    fresh.append(m)
-        frontier = fresh
-    indegree = {n: 0 for n in seen}
-    for outs in edges.values():
-        for m in outs:
-            indegree[m] += 1
-    queue = [n for n in seen if indegree[n] == 0]
-    topo = []
-    while queue:
-        n = queue.pop()
-        topo.append(n)
-        for m in edges[n]:
-            indegree[m] -= 1
-            if indegree[m] == 0:
-                queue.append(m)
-    if len(topo) < len(seen):
-        return None
-    depth = {}
-    for n in reversed(topo):
-        depth[n] = max((depth[m] + 1 for m in edges[n]), default=0)
-    return len(seen), sum(len(outs) for outs in edges.values()), depth[root]
-
-
 def _fsb_oracle(env, term):
-    return _graph_report(
+    return graph_report(
         Closure(env, term),
         lambda c: sorted(fpb_successors(P, *c), key=closure_key),
+        cap=30000,
     )
 
 
@@ -249,11 +212,11 @@ def test_closure_skeleton_keeps_observed_entry_steps():
         oracle = list(fqu_children(env, term))
         oracle += [
             Closure(env, t2)
-            for t2 in _seq_steps(P.c, P.big_d, env, term)
+            for t2 in _seq_steps((P.c, P.big_d), env, term)
             if t2 != term
         ]
         for i, (kind, side) in enumerate(env):
-            for s2 in _seq_steps(P.c, P.big_d, env[i + 1 :], side):
+            for s2 in _seq_steps((P.c, P.big_d), env[i + 1 :], side):
                 e2 = env[:i] + ((kind, s2),) + env[i + 1 :]
                 if s2 != side and not lleq_holds(0, term, env, e2):
                     oracle.append(Closure(e2, term))
@@ -343,8 +306,10 @@ def test_warm_reports_match_graph_oracle_at_gate_bounds():
     reports = [(fsb_certify(P, *c), csx_certify(P, *c)) for c in sample]
     for (env, t), (fsb, csx) in list(zip(sample, reports))[::10]:
         assert fsb == BigTreeReport(*_fsb_oracle(env, t)), (env, t)
-        nodes, _, depth = _graph_report(
-            t, lambda t1: [t2 for t2 in cpx_reducts(P, env, t1) if t2 != t1]
+        nodes, _, depth = graph_report(
+            t,
+            lambda t1: [t2 for t2 in cpx_reducts(P, env, t1) if t2 != t1],
+            cap=30000,
         )
         assert csx == SnReport(nodes, depth), (env, t)
 

@@ -4,6 +4,7 @@ from functools import lru_cache
 
 import pytest
 
+from graph_oracle import graph_report
 from lamcalc import (
     Bind,
     BindKind,
@@ -48,54 +49,25 @@ OMEGA = parse_term("(appl (abst *0 (appl #0 #0)) (abst *0 (appl #0 #0)))")
 REDUCTUM = parse_term("(abbr (cast *0 (abst *0 (appl #0 #0))) (appl #0 #0))")
 
 
-# --- independent graph oracle: reachable set by BFS, acyclicity and
-# --- longest path by Kahn's algorithm
+def _sn_oracle(root, successors):
+    """The graph oracle's report as an ``SnReport`` reads it, without the
+    edge count; ``None`` on a cycle."""
 
-
-def _graph_report(root, successors, cap=20000):
-    seen = {root}
-    frontier = [root]
-    edges = {}
-    while frontier:
-        fresh = []
-        for n in frontier:
-            outs = successors(n)
-            edges[n] = outs
-            for m in outs:
-                if m not in seen:
-                    seen.add(m)
-                    assert len(seen) <= cap, "oracle cap"
-                    fresh.append(m)
-        frontier = fresh
-    indegree = {n: 0 for n in seen}
-    for outs in edges.values():
-        for m in outs:
-            indegree[m] += 1
-    queue = [n for n in seen if indegree[n] == 0]
-    topo = []
-    while queue:
-        n = queue.pop()
-        topo.append(n)
-        for m in edges[n]:
-            indegree[m] -= 1
-            if indegree[m] == 0:
-                queue.append(m)
-    if len(topo) < len(seen):
-        return None  # a cycle survives every peeling order
-    depth = {}
-    for n in reversed(topo):
-        depth[n] = max((depth[m] + 1 for m in edges[n]), default=0)
-    return len(seen), depth[root]
+    got = graph_report(root, successors, cap=20000)
+    if got is None:
+        return None
+    nodes, _, depth = got
+    return nodes, depth
 
 
 def _csx_oracle(env, term):
-    return _graph_report(
+    return _sn_oracle(
         term, lambda t: [r for r in cpx_reducts(P, env, t) if r != t]
     )
 
 
 def _lsx_oracle(l, term, env):
-    return _graph_report(
+    return _sn_oracle(
         env,
         lambda e1: [
             e2 for e2 in lpx_reducts(P, e1) if not lleq_holds(l, term, e1, e2)
@@ -208,13 +180,13 @@ def test_skeleton_factors_parallel_steps():
             continue
 
         def skeleton(u):
-            return list(_seq_steps(P.c, P.big_d, env, u))
+            return list(_seq_steps((P.c, P.big_d), env, u))
 
         reached = set()
         for u, steps in reach(t, skeleton, P.budget):
             reached.add(u)
             for u2 in steps:
-                assert _step_to(P.c, P.big_d, env, u, u2), (env, u, u2)
+                assert _step_to((P.c, P.big_d), env, u, u2), (env, u, u2)
         assert cpx_reducts(P, env, t) <= reached, (env, t)
 
 

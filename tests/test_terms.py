@@ -41,6 +41,7 @@ from lamcalc import (
     da,
     delift,
     fpb_successors,
+    fpbq_holds,
     fqu_children,
     fquq_holds,
     frees_holds,
@@ -254,6 +255,7 @@ REFUSERS = {
     "fqu_children": lambda x: fqu_children((), x),
     "fquq_holds": lambda x: fquq_holds(Closure((), x), Closure((), Sort(0))),
     "fpb_successors": lambda x: fpb_successors(P, (), x),
+    "fpbq_holds": lambda x: fpbq_holds(P, Closure((), x), Closure((), x)),
     "tsts-left": lambda x: tsts(x, Sort(0)),
     "tsts-right": lambda x: tsts(Sort(0), x),
     "term_size": lambda x: term_size(x),

@@ -8,6 +8,7 @@ import random
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from graph_oracle import graph_report
 from lamcalc.errors import BudgetExceeded
 from lamcalc.traversal import Cycle, certify, explore
 
@@ -128,40 +129,9 @@ def test_failing_successors_raise_alike_on_a_warm_sn():
 
 
 def _oracle(graph, root):
-    """BFS the reachable graph without self-steps; None if Kahn's peeling
-    leaves a node, else (nodes, edges, longest path)."""
+    """The graph oracle on ``graph`` without self-steps."""
 
-    seen = {root}
-    frontier = [root]
-    outs = {}
-    while frontier:
-        fresh = []
-        for n in frontier:
-            outs[n] = [m for m in set(graph[n]) if m != n]
-            for m in outs[n]:
-                if m not in seen:
-                    seen.add(m)
-                    fresh.append(m)
-        frontier = fresh
-    indegree = dict.fromkeys(seen, 0)
-    for ms in outs.values():
-        for m in ms:
-            indegree[m] += 1
-    queue = [n for n in seen if indegree[n] == 0]
-    topo = []
-    while queue:
-        n = queue.pop()
-        topo.append(n)
-        for m in outs[n]:
-            indegree[m] -= 1
-            if indegree[m] == 0:
-                queue.append(m)
-    if len(topo) < len(seen):
-        return None
-    depth = {}
-    for n in reversed(topo):
-        depth[n] = max((depth[m] + 1 for m in outs[n]), default=0)
-    return len(seen), sum(map(len, outs.values())), depth[root]
+    return graph_report(root, lambda n: [m for m in set(graph[n]) if m != n])
 
 
 @st.composite
