@@ -26,7 +26,7 @@ from .extended import (
 )
 from .reduction import _UNSET, _guard, env_reducts, one_step
 from .relocation import delift
-from .sexpr import print_env, print_term
+from .sexpr import print_closure
 from .terms import (
     Bind,
     Closure,
@@ -299,10 +299,6 @@ def fsb_certify(params: Params, env: Env, term: Term) -> BigTreeReport | Cycle:
     return BigTreeReport(nodes, edges, depth)
 
 
-def _print_closure(c: Closure) -> str:
-    return f"{print_env(c.env)} |- {print_term(c.term)}"
-
-
 def fsb_graph(params: Params, env: Env, term: Term) -> str:
     """The reachable proper-step graph as a deterministic edge list.
 
@@ -314,6 +310,6 @@ def fsb_graph(params: Params, env: Env, term: Term) -> str:
         Closure(env, term), lambda c: fpb_successors(params, *c), params.budget
     )
     lines = [
-        f"{_print_closure(c)} -> {_print_closure(d)}" for c, out in graph for d in out
+        f"{print_closure(*c)} -> {print_closure(*d)}" for c, out in graph for d in out
     ]
     return "\n".join(sorted(lines))

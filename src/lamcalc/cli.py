@@ -21,7 +21,7 @@ from .errors import BudgetExceeded, FuelExhausted
 from .extended import cpx_reducts, csx_certify, lleq_holds
 from .props import SUITES, run_suite
 from .reduction import conv, cpr_reducts, normalize
-from .sexpr import ParseError, parse_env, parse_term, print_env, print_term
+from .sexpr import ParseError, parse_env, parse_term, print_closure, print_term
 from .statics import da, lstas
 from .terms import Params
 from .traversal import Cycle
@@ -220,8 +220,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, object, str | None]:
     if args.command == "bigtree":
         got = fsb_certify(params, env, parse_term(args.term))
         if isinstance(got, Cycle):
-            cycle = {"cycle": [f"{print_env(c.env)} |- {print_term(c.term)}"
-                               for c in got.path]}
+            cycle = {"cycle": [print_closure(*c) for c in got.path]}
             return _EXIT_CYCLE, cycle, "cycle detected"
         return _EXIT_OK, {"nodes": got.nodes, "edges": got.edges,
                           "max_depth": got.max_depth}, None

@@ -81,66 +81,63 @@ def _step_to(ext: tuple[int, int], env: Env, t1: Term, t2: Term) -> bool:
     if t1 == t2:
         return True
     got = _STEP.get(ext, _UNSET).get(env, _UNSET).get(t1, _UNSET).get(t2)
-    if got is None:
-        got = _step_to_raw(ext, env, t1, t2)
-        by_t1 = _STEP.setdefault(ext, {}).setdefault(env, {})
-        by_t1.setdefault(t1, {})[t2] = got
-    return got
-
-
-def _step_to_raw(ext: tuple[int, int], env: Env, t1: Term, t2: Term) -> bool:
+    if got is not None:
+        return got
     # Each rule is matched backwards from the target, independently of the
     # enumeration's statement of it, so each can check the other.
     cls = type(t1)
-    if cls is Bind or cls is Flat:
-        _, kind, side, body = t1
-        # the congruence: same constructor and kind, and each part steps
-        if type(t2) is cls and t2[1] == kind and _step_to(ext, env, side, t2[2]):
-            inner = env_push(env, kind, side) if cls is Bind else env
-            if _step_to(ext, inner, body, t2[3]):
-                return True
-    elif cls is Var:
+    if cls is Var:
         _, i = t1
-        if i >= len(env):
-            return False
-        v2 = delift(0, i + 1, t2)
-        return v2 is not None and _step_to(ext, env[i + 1 :], env[i][1], v2)
+        v2 = delift(0, i + 1, t2) if i < len(env) else None
+        got = v2 is not None and _step_to(ext, env[i + 1 :], env[i][1], v2)
     elif cls is Sort:
         _, k = t1
         c, big_d = ext
-        return t2 == Sort(k + c) and max(big_d - k // c, 0) >= 1
-    else:
+        got = t2 == Sort(k + c) and max(big_d - k // c, 0) >= 1
+    elif cls is not Bind and cls is not Flat:
         raise TypeError(f"not a term: {t1!r}")
-    if cls is Bind:  # zeta
-        return kind == BindKind.ABBR and _step_to(
-            ext, env_push(env, kind, side), body, lift(0, 1, t2)
-        )
-    if kind == FlatKind.CAST:  # eps, or e keeping the annotation
-        return _step_to(ext, env, body, t2) or _step_to(ext, env, side, t2)
-    if type(body) is not Bind or type(t2) is not Bind or t2[1] != BindKind.ABBR:
-        return False
-    _, kind, u, s = body
-    _, _, u2, b2 = t2
-    if kind == BindKind.ABST:  # beta
-        if type(u2) is not Flat or u2[1] != FlatKind.CAST:
-            return False
-        _, _, w2, v2 = u2
-        return (
-            _step_to(ext, env, u, w2)
-            and _step_to(ext, env, side, v2)
-            and _step_to(ext, env_push(env, kind, u), s, b2)
-        )
-    # theta
-    if type(b2) is not Flat or b2[1] != FlatKind.APPL:
-        return False
-    _, _, a2, s2 = b2
-    v2 = delift(0, 1, a2)
-    return (
-        v2 is not None
-        and _step_to(ext, env, side, v2)
-        and _step_to(ext, env, u, u2)
-        and _step_to(ext, env_push(env, kind, u), s, s2)
-    )
+    else:
+        _, kind, side, body = t1
+        if (  # the congruence: same constructor and kind, and each part steps
+            type(t2) is cls
+            and t2[1] == kind
+            and _step_to(ext, env, side, t2[2])
+            and _step_to(
+                ext, env_push(env, kind, side) if cls is Bind else env, body, t2[3]
+            )
+        ):
+            got = True
+        elif cls is Bind:  # zeta
+            got = kind == BindKind.ABBR and _step_to(
+                ext, env_push(env, kind, side), body, lift(0, 1, t2)
+            )
+        elif kind == FlatKind.CAST:  # eps, or e keeping the annotation
+            got = _step_to(ext, env, body, t2) or _step_to(ext, env, side, t2)
+        elif type(body) is not Bind or type(t2) is not Bind or t2[1] != BindKind.ABBR:
+            got = False
+        elif body[1] == BindKind.ABST:  # beta
+            _, kind, u, s = body
+            _, _, u2, b2 = t2
+            got = (
+                type(u2) is Flat
+                and u2[1] == FlatKind.CAST
+                and _step_to(ext, env, u, u2[2])
+                and _step_to(ext, env, side, u2[3])
+                and _step_to(ext, env_push(env, kind, u), s, b2)
+            )
+        else:  # theta
+            _, kind, u, s = body
+            _, _, u2, b2 = t2
+            appl = type(b2) is Flat and b2[1] == FlatKind.APPL
+            v2 = delift(0, 1, b2[2]) if appl else None
+            got = (
+                v2 is not None
+                and _step_to(ext, env, side, v2)
+                and _step_to(ext, env, u, u2)
+                and _step_to(ext, env_push(env, kind, u), s, b2[3])
+            )
+    _STEP.setdefault(ext, {}).setdefault(env, {}).setdefault(t1, {})[t2] = got
+    return got
 
 
 def lpx_reducts(params: Params, env: Env) -> frozenset[Env]:

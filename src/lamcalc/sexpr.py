@@ -8,14 +8,22 @@
 Whitespace may appear between tokens.  Environments are written outermost
 entry first, so ``#0`` refers to the rightmost entry of the bracket.
 Printing produces the canonical spacing, and parsing a printed value gives
-back the original one.
+back the original one.  A closure prints as ``<env> |- <term>``, the form
+every report and counterexample uses.
 """
 
 from __future__ import annotations
 
 from .terms import Bind, BindKind, Env, Flat, FlatKind, Sort, Term, Var
 
-__all__ = ["ParseError", "parse_term", "parse_env", "print_term", "print_env"]
+__all__ = [
+    "ParseError",
+    "parse_term",
+    "parse_env",
+    "print_term",
+    "print_env",
+    "print_closure",
+]
 
 _BIND_WORD = {BindKind.ABBR: "abbr", BindKind.ABST: "abst"}
 _FLAT_WORD = {FlatKind.APPL: "appl", FlatKind.CAST: "cast"}
@@ -156,3 +164,9 @@ def print_env(env: Env) -> str:
     words = {BindKind.ABBR: "def", BindKind.ABST: "dec"}
     parts = [f"{words[kind]} {print_term(side)}" for kind, side in reversed(env)]
     return "[" + "; ".join(parts) + "]"
+
+
+def print_closure(env: Env, term: Term) -> str:
+    """A closure as ``<env> |- <term>``."""
+
+    return f"{print_env(env)} |- {print_term(term)}"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .arity import aaa
 from .errors import BudgetExceeded, FuelExhausted
 from .reduction import conv, cpr_reducts, cprs_holds, lpr_reducts, lsub_walk, normalize
-from .sexpr import print_env, print_term
+from .sexpr import print_closure, print_term
 from .statics import da, lstas
 from .terms import (
     Bind,
@@ -356,9 +356,6 @@ def preservation_report(params: Params, env: Env, term: Term) -> PreservationRep
     l2s = sorted(lpr_reducts(env, params.budget), key=env_key)
     d = da(params, env, term)
 
-    def spot(l2: Env, t2: Term) -> str:
-        return f"{print_env(l2)} |- {print_term(t2)}"
-
     degree_ok = True
     validity_ok = True
     for t2 in t2s:
@@ -367,15 +364,15 @@ def preservation_report(params: Params, env: Env, term: Term) -> PreservationRep
                 if d is not None and da(params, l2, t2) != d:
                     degree_ok = False
                     failures.append(
-                        f"degree: {spot(l2, t2)} has degree "
+                        f"degree: {print_closure(l2, t2)} has degree "
                         f"{da(params, l2, t2)}, expected {d}"
                     )
                 if not snv_check(params, l2, t2).valid:
                     validity_ok = False
-                    failures.append(f"validity: {spot(l2, t2)} is not valid")
+                    failures.append(f"validity: {print_closure(l2, t2)} is not valid")
             except (FuelExhausted, BudgetExceeded) as e:
                 degree_ok = validity_ok = False
-                failures.append(f"resources at {spot(l2, t2)}: {e}")
+                failures.append(f"resources at {print_closure(l2, t2)}: {e}")
 
     types_valid_ok = True
     types_commute_ok = True
@@ -395,13 +392,13 @@ def preservation_report(params: Params, env: Env, term: Term) -> PreservationRep
                     if u2 is None or not conv(l2, u1, u2, params.fuel):
                         types_commute_ok = False
                         failures.append(
-                            f"commutation: at {n} steps, {spot(l2, t2)} "
+                            f"commutation: at {n} steps, {print_closure(l2, t2)} "
                             f"yields {'nothing' if u2 is None else print_term(u2)}"
                             f", not convertible with {print_term(u1)}"
                         )
                 except (FuelExhausted, BudgetExceeded) as e:
                     types_commute_ok = False
-                    failures.append(f"resources at {spot(l2, t2)}: {e}")
+                    failures.append(f"resources at {print_closure(l2, t2)}: {e}")
 
     return PreservationReport(
         degree_ok,

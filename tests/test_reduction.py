@@ -118,13 +118,13 @@ def test_cpr_full_is_a_reduct():
 def test_deep_terms_reduce_at_the_default_recursion_limit():
     """Nested chains somewhat below the deepest each judgment handles
     (498 casts to normalize, 166 identities, 331 casts to enumerate, about
-    995 casts to the arity, the degree and the static type) go through in
-    a fresh process at the default limit: a rewrite that adds stack frames
-    per nesting level fails here."""
+    995 casts to the arity, the degree, the static type and the step
+    matcher) go through in a fresh process at the default limit: a rewrite
+    that adds stack frames per nesting level fails here."""
 
     probe = """
 import json, sys
-from lamcalc import Params, Sort, Var, aaa, abst, appl, cast, da, lstas
+from lamcalc import Params, Sort, Var, aaa, abst, appl, cast, cpx_holds, da, lstas
 from lamcalc.reduction import cpr_reducts, normalize
 def chain(n, wrap):
     t = Sort(0)
@@ -142,12 +142,13 @@ print(json.dumps([
     str(aaa((), casts(900))),
     da(Params(), (), casts(900)),
     lstas(Params(), (), casts(900), 1) == Sort(1),
+    cpx_holds(Params(), (), casts(900), Sort(0)),
 ]))
 """
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
-    assert json.loads(done.stdout) == [1000, True, True, 301, "*", 2, True]
+    assert json.loads(done.stdout) == [1000, True, True, 301, "*", 2, True, True]
 
 
 def test_normalize():
