@@ -166,10 +166,12 @@ def _successors(
     envs = env_reducts(ext, env, budget)
     # An environment reduct keeps the length, so it breaks lazy
     # equivalence exactly when it changes an entry the term refers to.
-    refs = [i for i in _frees(0, env, term) if i < len(env)]
-    for e2 in envs:
-        if any(e2[i] != env[i] for i in refs):
-            out.add(Closure(e2, term))
+    # ``env`` is always one of its own reducts, and never such a change.
+    if len(envs) > 1:
+        refs = [i for i in _frees(0, env, term) if i < len(env)]
+        for e2 in envs:
+            if any(e2[i] != env[i] for i in refs):
+                out.add(Closure(e2, term))
     return frozenset(out), max(len(reducts), len(envs))
 
 

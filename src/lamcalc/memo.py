@@ -14,7 +14,11 @@ table keyed by the sort hierarchy is looked up with the one
 ``(c, big_d)`` value that its judgment is passed and passes on, so no
 call builds that key anew.  A judgment gets no table when another table
 already holds its work: ``normalize`` iterates the memoized development,
-so it honours ``fuel`` however warm the table is.
+so it honours ``fuel`` however warm the table is.  ``env_reducts`` has
+one although each entry's reduct set is in ``_ONE_STEP``: their
+entrywise product is work that no other table holds, and the closure
+certifier asks for the same environment's product at every closure over
+it.  The 11 tables are listed in :data:`TABLES`.
 
 A table is nested one dict level per argument, the few-valued arguments
 (a sort hierarchy, a level) first, then the environment, then the term,
@@ -39,6 +43,7 @@ __all__ = ["TABLES", "clear_caches"]
 TABLES = (
     reduction._ONE_STEP,
     reduction._FULL,
+    reduction._ENV_REDUCTS,
     statics._LSTAS,
     statics._DA,
     arity._AAA,

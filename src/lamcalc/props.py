@@ -127,10 +127,9 @@ def _subject_reduction(params: Params, env: Env, t: Term) -> Iterator[str]:
     report = preservation_report(params, env, t)
     if not report.all_pass:
         yield from report.failures
-    for t2 in cpr_reducts(env, t, params.budget):
-        for t3 in cpr_reducts(env, t2, params.budget):
-            if not snv_check(params, env, t3).valid:
-                yield f"two-step reduct {print_term(t3)} is not valid"
+    for t3 in _two_steps(params, env, t):
+        if not snv_check(params, env, t3).valid:
+            yield f"two-step reduct {print_term(t3)} is not valid"
 
 
 def _lleq_recursive(l: int, term: Term, env1: Env, env2: Env) -> bool:

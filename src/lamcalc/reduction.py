@@ -73,6 +73,7 @@ Ext = Optional[tuple[int, int]]
 # The memo tables are nested one level per argument (see lamcalc.memo).
 _ONE_STEP: dict[Ext, dict[Env, dict[Term, frozenset[Term]]]] = {}
 _FULL: dict[Env, dict[Term, Term]] = {}
+_ENV_REDUCTS: dict[Ext, dict[Env, frozenset[Env]]] = {}
 
 # The default of every ``.get`` in a lookup through nested memo tables: a
 # level that holds nothing yet reads as this empty mapping, and a miss at
@@ -188,16 +189,27 @@ def cpr_holds(env: Env, t1: Term, t2: Term, budget: int = DEFAULT_BUDGET) -> boo
 
 def env_reducts(ext: Ext, env: Env, budget: int) -> frozenset[Env]:
     """One step of the ``ext`` relation inside the entries, each entry in
-    its own outer environment, kinds unchanged: the entrywise product."""
+    its own outer environment, kinds unchanged: the entrywise product.
 
-    choices = []
-    total = 1
-    for i, (kind, side) in enumerate(env):
-        reducts = one_step(ext, env[i + 1 :], side, budget)
-        total *= len(reducts)
-        _guard(total, budget)
-        choices.append([(kind, s2) for s2 in reducts])
-    return frozenset(tuple(picked) for picked in product(*choices))
+    Like :func:`one_step`, it raises ``BudgetExceeded`` when the returned
+    set has more than ``budget`` elements, hit or miss.  A miss raises as
+    soon as the product of the entries' reduct sets so far exceeds the
+    budget; that product is a lower bound on the final size.
+    """
+
+    got = _ENV_REDUCTS.get(ext, _UNSET).get(env)
+    if got is None:
+        choices = []
+        total = 1
+        for i, (kind, side) in enumerate(env):
+            reducts = one_step(ext, env[i + 1 :], side, budget)
+            total *= len(reducts)
+            _guard(total, budget)
+            choices.append([(kind, s2) for s2 in reducts])
+        got = frozenset(tuple(picked) for picked in product(*choices))
+        _ENV_REDUCTS.setdefault(ext, {})[env] = got
+    _guard(len(got), budget)
+    return got
 
 
 def lpr_reducts(env: Env, budget: int = DEFAULT_BUDGET) -> frozenset[Env]:

@@ -29,14 +29,20 @@ RelocPair = tuple[int, int]
 
 
 def lift(l: int, m: int, t: Term) -> Term:
+    """``t`` with every reference at depth ``l`` or deeper raised by ``m``;
+    ``t`` itself when no reference moves."""
+
     cls = type(t)
     if cls is Bind or cls is Flat:
         _, kind, side, body = t
-        inner = l + 1 if cls is Bind else l
-        return cls(kind, lift(l, m, side), lift(inner, m, body))
+        side2 = lift(l, m, side)
+        body2 = lift(l + 1 if cls is Bind else l, m, body)
+        if side2 is side and body2 is body:
+            return t
+        return cls(kind, side2, body2)
     if cls is Var:
         _, i = t
-        return Var(i + m) if i >= l else t
+        return Var(i + m) if i >= l and m else t
     if cls is Sort:
         return t
     raise TypeError(f"not a term: {t!r}")
@@ -46,7 +52,7 @@ def delift(l: int, m: int, t: Term) -> Optional[Term]:
     """The unique ``u`` with ``lift(l, m, u) == t``, or ``None``.
 
     Undefined exactly when ``t`` has a reference in the band
-    ``l <= i < l + m``.
+    ``l <= i < l + m``.  ``t`` itself when no reference moves.
     """
 
     cls = type(t)
@@ -58,12 +64,14 @@ def delift(l: int, m: int, t: Term) -> Optional[Term]:
         body2 = delift(l + 1 if cls is Bind else l, m, body)
         if body2 is None:
             return None
+        if side2 is side and body2 is body:
+            return t
         return cls(kind, side2, body2)
     if cls is Var:
         _, i = t
-        if l <= i < l + m:
-            return None
-        return t if i < l else Var(i - m)
+        if i < l or m == 0:
+            return t
+        return None if i < l + m else Var(i - m)
     if cls is Sort:
         return t
     raise TypeError(f"not a term: {t!r}")

@@ -3,20 +3,24 @@
 Strong normalization of a finitely-branching relation is equivalent to the
 reachable successor graph being finite and acyclic, so the certifiers walk
 that graph with :func:`explore`: a depth-first search over proper steps
-that keeps the current path (grey nodes) to catch cycles, caps the number
-of distinct nodes by a budget, and computes the longest path and the edge
-count over the finish order.  It takes ``sn``, a map from each node
-already proved strongly normalizing to its longest path, closed under
-successors.  The walk stops at those nodes, taking their longest path from
-``sn`` and counting the nodes and edges below them with a plain set walk;
-every node of each finite acyclic graph joins ``sn``, so later walks under
-the same relation reuse earlier certificates.
+that marks each reached node by whether it is on the current path, to
+catch cycles, caps the number of distinct nodes by a budget, and computes
+the longest path and the edge count over the finish order.  It takes
+``sn``, a map from each node already proved strongly normalizing to its
+longest path, closed under successors.  The walk stops at those nodes,
+taking their longest path from ``sn`` and counting the nodes and edges
+below them with a plain set walk; every node of each finite acyclic graph
+joins ``sn``, so later walks under the same relation reuse earlier
+certificates.
 
 ``certify`` runs that walk for terms and closures alike, after a cheap
-scan for a cycle near the root.  Its walk visits successors in any order,
-since an acyclic report does not depend on it.  Only a cycle or a budget
-failure does, so then the graph is walked again from scratch with
-successors sorted, and the answer is the one a cold call gives.
+scan for a cycle near the root.  Both keep their path on an explicit
+stack, and no function of theirs refers to itself, so a call leaves no
+cyclic garbage behind, whether it returns or raises.  The walk visits
+successors in any order, since an acyclic report does not depend on it.
+Only a cycle or a budget failure does, so then the graph is walked again
+from scratch with successors sorted, and the answer is the one a cold
+call gives.
 
 :func:`reach` is the one breadth-first search, for the questions that only
 ask what is reachable: iterated reduction, iterated subclosures and the
@@ -76,45 +80,50 @@ def explore(
     path and is closed under successors.  The walk stops at its nodes and
     only counts the nodes and edges below them; on an acyclic graph every
     new node joins ``sn``, which is left alone otherwise.
+
+    One table marks every reached node, True while it is on the path, so
+    a revisited edge costs one lookup to tell a cycle from a node already
+    walked.
     """
 
     if budget < 1:
         raise BudgetExceeded(f"more than {budget} reachable nodes")
-    seen = {root}
+    seen: dict[Node, bool] = {}  # reached nodes: True while on the path
     border: list[Node] = []  # reached nodes of sn, not yet walked
     succ_of: dict[Node, tuple[Node, ...]] = {}  # new nodes' proper steps
-    grey: set[Node] = set()
     finish: list[Node] = []
 
     def enter(n: Node) -> Iterator[Node]:
-        grey.add(n)
+        seen[n] = True
         out = succ_of[n] = tuple(s for s in successors(n) if s != n)
         return iter(out)
 
     stack = []
     if root in sn:
+        seen[root] = False
         border.append(root)
     else:
         stack.append((root, enter(root)))
     while stack:
         node, pending = stack[-1]
         for child in pending:
-            if child in grey:
-                path = [n for n, _ in stack]
-                return Cycle(tuple(path[path.index(child) :]))
-            if child in seen:
+            on_path = seen.get(child)
+            if on_path is not None:
+                if on_path:
+                    path = [n for n, _ in stack]
+                    return Cycle(tuple(path[path.index(child) :]))
                 continue
-            seen.add(child)
-            if len(seen) > budget:
+            if len(seen) >= budget:
                 raise BudgetExceeded(f"more than {budget} reachable nodes")
             if child in sn:
+                seen[child] = False
                 border.append(child)
             else:
                 stack.append((child, enter(child)))
                 break
         else:
             stack.pop()
-            grey.discard(node)
+            seen[node] = False
             finish.append(node)
     # sn is closed under successors, so below the border every node is in
     # sn and only the counts remain to be taken.
@@ -125,9 +134,9 @@ def explore(
             if s != n:
                 edges += 1
                 if s not in seen:
-                    seen.add(s)
-                    if len(seen) > budget:
+                    if len(seen) >= budget:
                         raise BudgetExceeded(f"more than {budget} reachable nodes")
+                    seen[s] = False
                     border.append(s)
     for n in finish:
         out = succ_of[n]
@@ -183,7 +192,8 @@ def certify(
        of measure at most the root's plus :data:`CYCLE_SCAN_SLACK`, asking
        at each node whether one proper step ``closes`` back onto a node on
        the current path.  A hit is a genuine cycle; a miss proves nothing.
-       At ``depth`` 0 it calls neither ``skeleton`` nor ``closes``.
+       At ``depth`` 0 it calls neither ``skeleton`` nor ``closes``.  The
+       scan is :func:`_scan`, a loop over an explicit stack.
     2. Explore the graph of ``successors``.  Its report is exact; when
        the graph is too large or infinite, the ``budget`` stops the walk.
 
@@ -202,31 +212,7 @@ def certify(
     no report, cycle or failure depends on what ``sn`` held.
     """
 
-    cap = measure(root) + CYCLE_SCAN_SLACK
-    seen: set[Node] = set()
-    path: list[Node] = []
-
-    def scan(n: Node, left: int) -> Cycle | None:
-        if n in sn:
-            return None
-        for idx, back in enumerate(path):
-            if closes(n, back):
-                return Cycle(tuple(path[idx:] + [n]))
-        if left == 0 or n in seen:
-            return None
-        seen.add(n)
-        path.append(n)
-        try:
-            steps = {s: m for s in skeleton(n) if s != n and (m := measure(s)) <= cap}
-            for s in sorted(steps, key=lambda s: (steps[s], key(s))):
-                got = scan(s, left - 1)
-                if got is not None:
-                    return got
-        finally:
-            path.pop()
-        return None
-
-    got = scan(root, depth)
+    got = _scan(root, depth, measure, key, skeleton, closes, sn)
     if got is not None:
         return got
     try:
@@ -243,3 +229,47 @@ def certify(
     # same as a cold call.  It never reports an acyclic graph here, since
     # this graph has a cycle, more than ``budget`` nodes or a failing node.
     return explore(root, ordered, budget, {})
+
+
+def _scan(
+    root: Node,
+    depth: int,
+    measure: Callable[[Node], int],
+    key: Callable[[Node], object],
+    skeleton: Callable[[Node], Iterable[Node]],
+    closes: Callable[[Node, Node], bool],
+    sn: dict[Node, int],
+) -> Cycle | None:
+    """The cycle scan of :func:`certify`, depth-first with an explicit
+    stack, so that it leaves no reference cycle behind.
+
+    At each node outside ``sn``, ask whether one step ``closes`` onto a
+    node of the path, outermost first.  Then, unless the path is ``depth``
+    long or the node was scanned before, push it and scan its ``skeleton``
+    steps of measure at most the root's plus :data:`CYCLE_SCAN_SLACK`, by
+    measure, then ``key``.
+    """
+
+    cap = measure(root) + CYCLE_SCAN_SLACK
+    seen: set[Node] = set()
+    path: list[Node] = []
+    todo = [iter((root,))]  # per level, the nodes left to scan there
+    while todo:
+        for n in todo[-1]:
+            if n in sn:
+                continue
+            for idx, back in enumerate(path):
+                if closes(n, back):
+                    return Cycle(tuple(path[idx:]) + (n,))
+            if len(path) == depth or n in seen:
+                continue
+            seen.add(n)
+            path.append(n)
+            steps = {s: m for s in skeleton(n) if s != n and (m := measure(s)) <= cap}
+            todo.append(iter(sorted(steps, key=lambda s: (steps[s], key(s)))))
+            break
+        else:
+            todo.pop()
+            if path:
+                path.pop()
+    return None

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from genterms import terms
-from lamcalc import Sort, Var, parse_env, parse_term
+from lamcalc import Bind, Flat, Sort, Var, parse_env, parse_term
 from lamcalc.relocation import delift, drop, drops, lift, lifts, liftv, lreq
 from lamcalc.universe import enumerate_closures, enumerate_terms
 
@@ -37,6 +37,43 @@ def test_delift_inverts_lift(c, t):
 @given(st.integers(0, 4), terms())
 def test_lift_zero_identity(l, t):
     assert lift(l, 0, t) == t
+
+
+def _rebuilt(l, t, ref):
+    """``t`` rebuilt node by node, each reference ``i`` at level ``l``
+    mapped by ``ref(l, i)``; ``None`` when that is ``None`` anywhere."""
+
+    match t:
+        case Sort(k):
+            return Sort(k)
+        case Var(i):
+            i2 = ref(l, i)
+            return None if i2 is None else Var(i2)
+        case Bind(kind, side, body) | Flat(kind, side, body):
+            side2 = _rebuilt(l, side, ref)
+            body2 = _rebuilt(l + 1 if type(t) is Bind else l, body, ref)
+            if side2 is None or body2 is None:
+                return None
+            return type(t)(kind, side2, body2)
+
+
+@given(lm, terms())
+def test_lift_and_delift_match_a_rebuilding_reference(c, t):
+    """Both equal a reference that always builds a new term, and return
+    ``t`` itself exactly when no reference moves."""
+
+    l, m = c
+    lifted = _rebuilt(l, t, lambda l2, i: i + m if i >= l2 else i)
+    got = lift(l, m, t)
+    assert got == lifted
+    assert (got is t) == (lifted == t)
+
+    delifted = _rebuilt(
+        l, t, lambda l2, i: i if i < l2 else None if i < l2 + m else i - m
+    )
+    got = delift(l, m, t)
+    assert got == delifted
+    assert (got is t) == (delifted == t)
 
 
 def test_delift_against_preimage_search():

@@ -4,6 +4,7 @@ or on the order of the calls."""
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import subprocess
@@ -211,6 +212,35 @@ print(json.dumps(missing))
     for table in memo.TABLES:
         info = getattr(table, "cache_info", None)
         assert (info().currsize if info else len(table)) == 0
+
+
+def test_certifiers_leave_no_cyclic_garbage(monkeypatch):
+    """Certificates, cycles, budget failures and a raising ``closes`` all
+    free what the certifiers built by reference counting alone."""
+
+    def closes(*_):
+        raise RuntimeError("closes")
+
+    small = Params(budget=300)
+    clear_caches()
+    gc.collect()
+    gc.disable()
+    try:
+        for certify in (fsb_certify, csx_certify):
+            certify(P, *TYPED[1000])
+            assert isinstance(certify(P, (), OMEGA), Cycle)
+        assert isinstance(fsb_certify(P, (), OMEGA_K), Cycle)
+        with pytest.raises(BudgetExceeded):
+            csx_certify(small, (), OMEGA_K)
+        monkeypatch.setattr(bigtree, "_fpb_holds", closes)
+        monkeypatch.setattr(extended, "_step_to", closes)
+        clear_caches()
+        for certify in (fsb_certify, csx_certify):
+            with pytest.raises(RuntimeError):
+                certify(P, (), OMEGA)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_reimport_frees_the_previous_import():
