@@ -286,8 +286,7 @@ def fsb_certify(params: Params, env: Env, term: Term) -> BigTreeReport | Cycle:
 
     got = certify(
         Closure(env, term),
-        measure=closure_measure,
-        key=closure_key,
+        order=lambda c: (closure_measure(c), closure_key(c)),
         skeleton=lambda c: _closure_seq_steps(params, c),
         closes=lambda c, back: _fpb_holds(params, c, back),
         depth=0 if aaa(env, term) is not None else CLOSURE_SCAN_DEPTH,

@@ -25,6 +25,7 @@ from .sexpr import ParseError, parse_env, parse_term, print_closure, print_term
 from .statics import da, lstas
 from .terms import Params
 from .traversal import Cycle
+from .validity import snv_check
 
 __all__ = ["main", "run"]
 
@@ -52,7 +53,7 @@ def _read_config(path: str) -> dict[str, int]:
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise _CliError(f"cannot read config {path}: {e}") from e
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -168,8 +169,6 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, object, str | None]:
     env = parse_env(args.env)
 
     if args.command == "check":
-        from .validity import snv_check
-
         report = snv_check(params, env, parse_term(args.term))
         result = {"valid": report.valid,
                   "failure": list(report.failure) if report.failure else None}

@@ -41,7 +41,7 @@ from .terms import (
     term_size,
 )
 from .traversal import Cycle, SnReport, certify, explore
-from .universe import env_key, term_key
+from .universe import env_key
 
 __all__ = [
     "cpx_reducts",
@@ -218,8 +218,7 @@ def csx_certify(params: Params, env: Env, term: Term) -> SnReport | Cycle:
     ext = (params.c, params.big_d)
     got = certify(
         term,
-        measure=term_size,
-        key=term_key,
+        order=lambda t: (term_size(t), t),
         skeleton=lambda t: _seq_steps(ext, env, t),
         closes=lambda t, back: _step_to(ext, env, t, back),
         depth=0 if aaa(env, term) is not None else CYCLE_SCAN_DEPTH,

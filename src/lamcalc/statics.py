@@ -6,7 +6,8 @@ declaration use the declared type, references through a definition keep the
 definiens' own static type.  The degree of a term counts how many such
 steps remain before the chain becomes constant.  Both are deterministic
 partial functions; ``None`` means the head variable of the term is not
-hereditarily resolvable in the environment.
+hereditarily resolvable in the environment.  Both follow the same head
+chain, so a static type exists, for every n, exactly where a degree does.
 """
 
 from __future__ import annotations

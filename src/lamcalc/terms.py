@@ -77,7 +77,8 @@ class Term(tuple):
 
     Hashing, equality and ordering are the tuple's own, so they run in C.
     The tag keeps constructors with equal fields apart, and tuple order is
-    the total order on terms (see :func:`lamcalc.universe.term_key`).
+    the total order on terms: by constructor (atoms first, then binders,
+    then flat items), then kind, then children.
     Fields are read-only properties named by ``__match_args__``, so class
     patterns match positionally and by keyword.
 

@@ -173,8 +173,7 @@ def reach(
 def certify(
     root: Node,
     *,
-    measure: Callable[[Node], int],
-    key: Callable[[Node], object],
+    order: Callable[[Node], tuple],
     skeleton: Callable[[Node], Iterable[Node]],
     closes: Callable[[Node, Node], bool],
     depth: int,
@@ -197,8 +196,8 @@ def certify(
     2. Explore the graph of ``successors``.  Its report is exact; when
        the graph is too large or infinite, the ``budget`` stops the walk.
 
-    Where order matters, steps are taken by ``measure``, then ``key``, so
-    results are deterministic.
+    Where order matters, steps are taken by ``order``, so results are
+    deterministic.  Its first item is the node's measure, an int.
 
     ``sn`` maps nodes known to be strongly normalizing under the same
     relation to their longest path, and is closed under successors; it is
@@ -212,7 +211,7 @@ def certify(
     no report, cycle or failure depends on what ``sn`` held.
     """
 
-    got = _scan(root, depth, measure, key, skeleton, closes, sn)
+    got = _scan(root, depth, order, skeleton, closes, sn)
     if got is not None:
         return got
     try:
@@ -223,7 +222,7 @@ def certify(
         return got
 
     def ordered(n: Node) -> list[Node]:
-        return sorted(successors(n), key=lambda s: (measure(s), key(s)))
+        return sorted(successors(n), key=order)
 
     # A cycle or a budget failure: the ordered walk finds or raises the
     # same as a cold call.  It never reports an acyclic graph here, since
@@ -234,8 +233,7 @@ def certify(
 def _scan(
     root: Node,
     depth: int,
-    measure: Callable[[Node], int],
-    key: Callable[[Node], object],
+    order: Callable[[Node], tuple],
     skeleton: Callable[[Node], Iterable[Node]],
     closes: Callable[[Node, Node], bool],
     sn: dict[Node, int],
@@ -247,10 +245,10 @@ def _scan(
     node of the path, outermost first.  Then, unless the path is ``depth``
     long or the node was scanned before, push it and scan its ``skeleton``
     steps of measure at most the root's plus :data:`CYCLE_SCAN_SLACK`, by
-    measure, then ``key``.
+    ``order``.
     """
 
-    cap = measure(root) + CYCLE_SCAN_SLACK
+    cap = order(root)[0] + CYCLE_SCAN_SLACK
     seen: set[Node] = set()
     path: list[Node] = []
     todo = [iter((root,))]  # per level, the nodes left to scan there
@@ -265,8 +263,8 @@ def _scan(
                 continue
             seen.add(n)
             path.append(n)
-            steps = {s: m for s in skeleton(n) if s != n and (m := measure(s)) <= cap}
-            todo.append(iter(sorted(steps, key=lambda s: (steps[s], key(s)))))
+            steps = {s: k for s in skeleton(n) if s != n and (k := order(s))[0] <= cap}
+            todo.append(iter(sorted(steps, key=steps.__getitem__)))
             break
         else:
             todo.pop()

@@ -13,24 +13,12 @@ from typing import Iterator
 from .terms import Bind, BindKind, Closure, Env, Flat, FlatKind, Sort, Term, Var
 
 __all__ = [
-    "term_key",
     "env_key",
     "closure_key",
     "enumerate_terms",
     "enumerate_envs",
     "enumerate_closures",
 ]
-
-
-def term_key(t: Term) -> Term:
-    """Total-order key on terms: the term itself.
-
-    A term is a tuple that starts with its constructor tag (atoms first,
-    then binders, then flat items), followed by its fields, so tuple order
-    compares by constructor, then kind, then children.
-    """
-
-    return t
 
 
 def env_key(env: Env) -> tuple:
@@ -57,7 +45,7 @@ def _atoms(max_sort: int, max_ref: int) -> list[Term]:
 
 def enumerate_terms(max_size: int, max_sort: int, max_ref: int) -> list[Term]:
     """All terms with at most ``max_size`` constructors, sorts ``<= max_sort``,
-    reference depths ``< max_ref``, ordered by :func:`term_key`."""
+    reference depths ``< max_ref``, in the total order on terms."""
 
     by_size: list[list[Term]] = [[]]
     if max_size >= 1:
@@ -74,7 +62,7 @@ def enumerate_terms(max_size: int, max_sort: int, max_ref: int) -> list[Term]:
                         layer.append(Flat(kind, side, body))
         by_size.append(layer)
     every = [t for layer in by_size for t in layer]
-    every.sort(key=term_key)
+    every.sort()
     return every
 
 

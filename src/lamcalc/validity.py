@@ -30,7 +30,7 @@ from .terms import (
     Var,
     env_push,
 )
-from .universe import env_key, term_key
+from .universe import env_key
 
 __all__ = [
     "PreservationReport",
@@ -75,8 +75,6 @@ def scpds_check(params: Params, env: Env, t1: Term, t2: Term, n: int) -> bool:
     if d is None or n > d:
         return False
     x = lstas(params, env, t1, n)
-    if x is None:
-        return False
     if aaa(env, x) is not None and aaa(env, t2) is not None:
         return normalize(env, x, params.fuel) == normalize(env, t2, params.fuel)
     return cprs_holds(env, x, t2, params.budget)
@@ -94,8 +92,6 @@ def scpes_check(
         return False
     x1 = lstas(params, env, t1, n1)
     x2 = lstas(params, env, t2, n2)
-    if x1 is None or x2 is None:
-        return False
     return normalize(env, x1, params.fuel) == normalize(env, x2, params.fuel)
 
 
@@ -118,8 +114,11 @@ def snv_check(params: Params, env: Env, term: Term) -> ValidityReport:
 
     Terms without an exact applicability arity are rejected up front:
     validity implies such an arity, and the arity in turn guarantees the
-    normalization calls below terminate.  Resource exhaustion is reported
-    as a failure, never raised.
+    normalization calls below terminate.  The arity also resolves every
+    reference, in every part and every referred entry, so each subterm
+    checked has a degree and, for every ``n``, a static type.  Resource
+    exhaustion is reported as a failure, never raised.  The rules that
+    can fail are thus ``arity``, ``resources``, ``cast`` and ``appl``.
     """
 
     if aaa(env, term) is None:
@@ -145,17 +144,10 @@ def _snv(params: Params, env: Env, term: Term, pos: str) -> ValidityReport:
         if not got.valid:
             return got
         if kind == FlatKind.CAST:
-            if da(params, env, side) is None:
-                return _invalid(pos, "cast", "annotation has no degree")
-            d = da(params, env, body)
-            if d is None or d < 1:
+            if da(params, env, body) < 1:
                 return _invalid(pos, "cast", "body degree must be at least 1")
-            x0 = lstas(params, env, side, 0)
-            x1 = lstas(params, env, body, 1)
-            if x0 is None or x1 is None:
-                return _invalid(pos, "cast", "static type undefined")
-            n0 = normalize(env, x0, params.fuel)
-            n1 = normalize(env, x1, params.fuel)
+            n0 = normalize(env, lstas(params, env, side, 0), params.fuel)
+            n1 = normalize(env, lstas(params, env, body, 1), params.fuel)
             if n0 != n1:
                 return _invalid(
                     pos,
@@ -164,21 +156,11 @@ def _snv(params: Params, env: Env, term: Term, pos: str) -> ValidityReport:
                     f"{print_term(n1)}",
                 )
             return ValidityReport(True)
-        dv = da(params, env, side)  # an application
-        if dv is None or dv < 1:
+        if da(params, env, side) < 1:  # an application
             return _invalid(pos, "appl", "argument degree must be at least 1")
-        w = lstas(params, env, side, 1)
-        if w is None:
-            return _invalid(pos, "appl", "argument type undefined")
-        w0 = normalize(env, w, params.fuel)
-        dt = da(params, env, body)
-        if dt is None:
-            return _invalid(pos, "appl", "function has no degree")
-        for n in range(dt + 1):
-            x = lstas(params, env, body, n)
-            if x is None:
-                continue
-            nf = normalize(env, x, params.fuel)
+        w0 = normalize(env, lstas(params, env, side, 1), params.fuel)
+        for n in range(da(params, env, body) + 1):
+            nf = normalize(env, lstas(params, env, body, n), params.fuel)
             if type(nf) is Bind and nf[1] == BindKind.ABST and nf[2] == w0:
                 return ValidityReport(True)
         return _invalid(
@@ -186,8 +168,6 @@ def _snv(params: Params, env: Env, term: Term, pos: str) -> ValidityReport:
         )
     if cls is Var:
         _, i = term
-        if i >= len(env):
-            return _invalid(pos, "lref", "reference beyond the environment")
         return _snv(params, env[i + 1 :], env[i][1], _at(pos, "entry"))
     if cls is Sort:
         return ValidityReport(True)
@@ -352,7 +332,7 @@ def preservation_report(params: Params, env: Env, term: Term) -> PreservationRep
             False, False, False, False, ("the closure itself is not valid",)
         )
 
-    t2s = sorted(cpr_reducts(env, term, params.budget), key=term_key)
+    t2s = sorted(cpr_reducts(env, term, params.budget))
     l2s = sorted(lpr_reducts(env, params.budget), key=env_key)
     d = da(params, env, term)
 
@@ -360,26 +340,20 @@ def preservation_report(params: Params, env: Env, term: Term) -> PreservationRep
     validity_ok = True
     for t2 in t2s:
         for l2 in l2s:
-            try:
-                if d is not None and da(params, l2, t2) != d:
-                    degree_ok = False
-                    failures.append(
-                        f"degree: {print_closure(l2, t2)} has degree "
-                        f"{da(params, l2, t2)}, expected {d}"
-                    )
-                if not snv_check(params, l2, t2).valid:
-                    validity_ok = False
-                    failures.append(f"validity: {print_closure(l2, t2)} is not valid")
-            except (FuelExhausted, BudgetExceeded) as e:
-                degree_ok = validity_ok = False
-                failures.append(f"resources at {print_closure(l2, t2)}: {e}")
+            if da(params, l2, t2) != d:
+                degree_ok = False
+                failures.append(
+                    f"degree: {print_closure(l2, t2)} has degree "
+                    f"{da(params, l2, t2)}, expected {d}"
+                )
+            if not snv_check(params, l2, t2).valid:
+                validity_ok = False
+                failures.append(f"validity: {print_closure(l2, t2)} is not valid")
 
     types_valid_ok = True
     types_commute_ok = True
-    for n in range((d if d is not None else -1) + 1):
+    for n in range(d + 1):
         u1 = lstas(params, env, term, n)
-        if u1 is None:
-            continue
         if not snv_check(params, env, u1).valid:
             types_valid_ok = False
             failures.append(

@@ -244,6 +244,10 @@ def test_config_errors_are_input_errors(tmp_path):
     not_num.write_text("fuel = lots\n")
     code, payload = invoke(["degree", "--config", str(not_num), "*0"])
     assert code == 2 and "not a number" in payload["error"]
+    not_utf8 = tmp_path / "notutf8.cfg"
+    not_utf8.write_bytes(b"fuel = 7 \xff\n")
+    code, payload = invoke(["degree", "--config", str(not_utf8), "*0"])
+    assert code == 2 and "cannot read config" in payload["error"]
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from lamcalc import BindKind, Params, Sort, Var, parse_env, parse_term
+from lamcalc.arity import aaa
 from lamcalc.reduction import cpr_reducts
 from lamcalc.statics import da, lsubd_holds, lstas
 from lamcalc.universe import enumerate_closures
@@ -87,8 +88,15 @@ def test_lsubd_examples():
 
 
 def test_lstas0_defined_iff_da_defined():
+    """The validity checker takes static types wherever it has a degree,
+    and a degree wherever it has an arity."""
+
     for env, t in enumerate_closures(3, 1, 1):
-        assert (lstas(P, env, t, 0) is None) == (da(P, env, t) is None)
+        no_degree = da(P, env, t) is None
+        for n in range(4):
+            assert (lstas(P, env, t, n) is None) == no_degree
+        if aaa(env, t) is not None:
+            assert not no_degree
 
 
 def test_da_lstas_chain():

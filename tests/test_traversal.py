@@ -20,8 +20,7 @@ DAG = {3: [4, 5], 4: [5], 5: []}
 def _certify(graph, root, *, depth, sn=None, successors=None, budget=100):
     return certify(
         root,
-        measure=lambda n: 0,
-        key=lambda n: n,
+        order=lambda n: (0, n),
         skeleton=lambda n: graph[n],
         closes=lambda n, back: back in graph[n],
         depth=depth,
@@ -74,8 +73,7 @@ def test_depth_zero_skips_the_scan():
     sn: dict[int, int] = {}
     got = certify(
         3,
-        measure=lambda n: 0,
-        key=lambda n: n,
+        order=lambda n: (0, n),
         skeleton=unused,
         closes=unused,
         depth=0,
