@@ -29,8 +29,9 @@ from .validity import snv_check
 
 __all__ = ["main", "run"]
 
-_DEFAULTS = {"c": Params.c, "D": Params.big_d,
-             "fuel": Params.fuel, "budget": Params.budget}
+# Each calculus parameter's config key, which is also its flag after
+# ``--``, and its ``Params`` field.
+_FIELDS = {"c": "c", "D": "big_d", "fuel": "fuel", "budget": "budget"}
 
 _EXIT_OK = 0
 _EXIT_FAILS = 1
@@ -49,6 +50,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_config(path: str) -> dict[str, int]:
+    """The ``Params`` fields that the config file at ``path`` sets."""
+
     out: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -61,11 +64,11 @@ def _read_config(path: str) -> dict[str, int]:
             continue
         key, sep, value = line.partition("=")
         key = key.strip()
-        if not sep or key not in _DEFAULTS:
+        if not sep or key not in _FIELDS:
             raise _CliError(f"config {path}:{lineno}: expected one of "
-                            f"{', '.join(sorted(_DEFAULTS))} = <number>")
+                            f"{', '.join(sorted(_FIELDS))} = <number>")
         try:
-            out[key] = int(value.strip())
+            out[_FIELDS[key]] = int(value.strip())
         except ValueError as e:
             raise _CliError(f"config {path}:{lineno}: {value.strip()!r} "
                             "is not a number") from e
@@ -73,16 +76,12 @@ def _read_config(path: str) -> dict[str, int]:
 
 
 def _params(args: argparse.Namespace) -> Params:
-    values = dict(_DEFAULTS)
-    if args.config is not None:
-        values.update(_read_config(args.config))
-    for key, flag in (("c", args.c), ("D", args.big_d),
-                      ("fuel", args.fuel), ("budget", args.budget)):
-        if flag is not None:
-            values[key] = flag
+    fields = {} if args.config is None else _read_config(args.config)
+    for field in _FIELDS.values():
+        if getattr(args, field) is not None:
+            fields[field] = getattr(args, field)
     try:
-        return Params(c=values["c"], big_d=values["D"],
-                      fuel=values["fuel"], budget=values["budget"])
+        return Params(**fields)
     except ValueError as e:
         raise _CliError(str(e)) from e
 
@@ -101,10 +100,8 @@ def _natural(text: str) -> int:
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--c", type=int, default=None)
-    common.add_argument("--D", dest="big_d", type=int, default=None)
-    common.add_argument("--fuel", type=int, default=None)
-    common.add_argument("--budget", type=int, default=None)
+    for key, field in _FIELDS.items():
+        common.add_argument(f"--{key}", dest=field, type=int, default=None)
     common.add_argument("--config", default=None)
 
     top = _Parser(prog="lamcalc", add_help=False)

@@ -348,9 +348,8 @@ def lcosx_certify(params: Params, l: int, env: Env) -> bool | Cycle:
     certificate at level ``l - i - 1`` in its own outer environment.
     Trivially true at level 0 or on the empty environment."""
 
-    if l == 0 or not env:
-        return True
-    got = lsx_certify(params, l - 1, env[0][1], env[1:])
-    if isinstance(got, Cycle):
-        return got
-    return lcosx_certify(params, l - 1, env[1:])
+    for i, (_, side) in enumerate(env[:l]):
+        got = lsx_certify(params, l - i - 1, side, env[i + 1 :])
+        if isinstance(got, Cycle):
+            return got
+    return True

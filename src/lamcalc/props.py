@@ -51,15 +51,10 @@ def _sweep(law: Law, params: Params, size: int, envlen: int, maxsort: int) -> li
     )
 
 
-def _diamond(params: Params, env: Env, t0: Term) -> Iterator[str]:
-    """Any two one-step reducts of a term have a common reduct."""
+def _one_step(params: Params, env: Env, t: Term) -> frozenset[Term]:
+    """The terms one parallel step from ``t``."""
 
-    reducts = sorted(cpr_reducts(env, t0, params.budget))
-    for i, t1 in enumerate(reducts):
-        r1 = cpr_reducts(env, t1, params.budget)
-        for t2 in reducts[i + 1 :]:
-            if not r1 & cpr_reducts(env, t2, params.budget):
-                yield f"{print_term(t1)} and {print_term(t2)} do not rejoin"
+    return cpr_reducts(env, t, params.budget)
 
 
 def _two_steps(params: Params, env: Env, t: Term) -> frozenset[Term]:
@@ -72,17 +67,22 @@ def _two_steps(params: Params, env: Env, t: Term) -> frozenset[Term]:
     )
 
 
-def _church_rosser(params: Params, env: Env, t0: Term) -> Iterator[str]:
-    """Any two terms two steps apart rejoin within two further steps."""
+def _rejoin(
+    step: Callable[[Params, Env, Term], frozenset[Term]],
+    suffix: str,
+    params: Params,
+    env: Env,
+    t0: Term,
+) -> Iterator[str]:
+    """Any two ``step``-reducts of a term have a common ``step``-reduct:
+    the diamond for one parallel step, Church-Rosser for two."""
 
-    two = sorted(_two_steps(params, env, t0))
-    reach = {u: _two_steps(params, env, u) for u in two}
-    for i, u in enumerate(two):
-        for v in two[i + 1 :]:
+    reducts = sorted(step(params, env, t0))
+    reach = {u: step(params, env, u) for u in reducts}
+    for i, u in enumerate(reducts):
+        for v in reducts[i + 1 :]:
             if not reach[u] & reach[v]:
-                yield (
-                    f"{print_term(u)} and {print_term(v)} do not rejoin in two steps"
-                )
+                yield f"{print_term(u)} and {print_term(v)} do not rejoin{suffix}"
 
 
 def _arity_preserved(params: Params, env: Env, t: Term) -> Iterator[str]:
@@ -234,8 +234,8 @@ def _statics(params: Params, env: Env, t: Term) -> Iterator[str]:
 
 
 SUITES: dict[str, Callable[[Params, int, int, int], list[str]]] = {
-    "diamond": partial(_sweep, _diamond),
-    "church-rosser": partial(_sweep, _church_rosser),
+    "diamond": partial(_sweep, partial(_rejoin, _one_step, "")),
+    "church-rosser": partial(_sweep, partial(_rejoin, _two_steps, " in two steps")),
     "arity-preservation": partial(_sweep, _arity_preserved),
     # each certifier is looked up when its law runs, so a patched one is used
     "sn-extended": partial(_sweep, lambda p, e, t: _certified(csx_certify, p, e, t)),

@@ -1,10 +1,11 @@
 """Relocation of de Bruijn references and the matching environment slicing.
 
 ``lift(l, m, t)`` shifts every reference of ``t`` at depth ``l`` or deeper
-up by ``m``; ``delift`` is its partial inverse.  ``drop(l, m, env)``
-removes the ``m`` entries found at depth ``l``, delifting the entries kept
-below them; it is the environment counterpart of ``lift`` and is partial as
-well.  Partial operations return ``None`` when undefined.
+up by ``m``; ``delift`` is its partial inverse.  Both are one walk, a shift
+by a signed distance.  ``drop(l, m, env)`` removes the ``m`` entries found
+at depth ``l``, delifting the entries kept below them; it is the
+environment counterpart of ``lift`` and is partial as well.  Partial
+operations return ``None`` when undefined.
 """
 
 from __future__ import annotations
@@ -28,24 +29,38 @@ __all__ = [
 RelocPair = tuple[int, int]
 
 
-def lift(l: int, m: int, t: Term) -> Term:
-    """``t`` with every reference at depth ``l`` or deeper raised by ``m``;
-    ``t`` itself when no reference moves."""
+def _shift(l: int, d: int, t: Term) -> Optional[Term]:
+    """``t`` with ``d`` added to every reference at depth ``l`` or deeper;
+    ``t`` itself when no reference moves, and ``None`` when ``d`` is
+    negative and ``t`` has a reference in the band ``l <= i < l - d``."""
 
     cls = type(t)
     if cls is Bind or cls is Flat:
         _, kind, side, body = t
-        side2 = lift(l, m, side)
-        body2 = lift(l + 1 if cls is Bind else l, m, body)
+        side2 = _shift(l, d, side)
+        if side2 is None:
+            return None
+        body2 = _shift(l + 1 if cls is Bind else l, d, body)
+        if body2 is None:
+            return None
         if side2 is side and body2 is body:
             return t
         return cls(kind, side2, body2)
     if cls is Var:
         _, i = t
-        return Var(i + m) if i >= l and m else t
+        if i < l or d == 0:
+            return t
+        return None if i < l - d else Var(i + d)
     if cls is Sort:
         return t
     raise TypeError(f"not a term: {t!r}")
+
+
+def lift(l: int, m: int, t: Term) -> Term:
+    """``t`` with every reference at depth ``l`` or deeper raised by ``m``;
+    ``t`` itself when no reference moves."""
+
+    return _shift(l, m, t)
 
 
 def delift(l: int, m: int, t: Term) -> Optional[Term]:
@@ -55,26 +70,7 @@ def delift(l: int, m: int, t: Term) -> Optional[Term]:
     ``l <= i < l + m``.  ``t`` itself when no reference moves.
     """
 
-    cls = type(t)
-    if cls is Bind or cls is Flat:
-        _, kind, side, body = t
-        side2 = delift(l, m, side)
-        if side2 is None:
-            return None
-        body2 = delift(l + 1 if cls is Bind else l, m, body)
-        if body2 is None:
-            return None
-        if side2 is side and body2 is body:
-            return t
-        return cls(kind, side2, body2)
-    if cls is Var:
-        _, i = t
-        if i < l or m == 0:
-            return t
-        return None if i < l + m else Var(i - m)
-    if cls is Sort:
-        return t
-    raise TypeError(f"not a term: {t!r}")
+    return _shift(l, -m, t)
 
 
 def liftv(l: int, m: int, ts: tuple[Term, ...]) -> tuple[Term, ...]:
@@ -99,22 +95,15 @@ def drop(l: int, m: int, env: Env) -> Optional[Env]:
     gets delifted, which fails when such an entry refers into the band.
     """
 
-    if l == 0:
-        if m == 0:
-            return env
-        if not env:
+    if m and len(env) < l + m:
+        return None
+    kept = []
+    for i, (kind, side) in enumerate(env[:l]):
+        side2 = delift(l - 1 - i, m, side)
+        if side2 is None:
             return None
-        return drop(0, m - 1, env[1:])
-    if not env:
-        return env if m == 0 else None
-    kind, side = env[0]
-    side2 = delift(l - 1, m, side)
-    if side2 is None:
-        return None
-    rest = drop(l - 1, m, env[1:])
-    if rest is None:
-        return None
-    return ((kind, side2),) + rest
+        kept.append((kind, side2))
+    return tuple(kept) + env[l + m :]
 
 
 def drops(pairs: Iterable[RelocPair], env: Env) -> Optional[Env]:

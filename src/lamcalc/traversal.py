@@ -4,14 +4,13 @@ Strong normalization of a finitely-branching relation is equivalent to the
 reachable successor graph being finite and acyclic, so the certifiers walk
 that graph with :func:`explore`: a depth-first search over proper steps
 that marks each reached node by whether it is on the current path, to
-catch cycles, caps the number of distinct nodes by a budget, and computes
-the longest path and the edge count over the finish order.  It takes
-``sn``, a map from each node already proved strongly normalizing to its
-longest path, closed under successors.  The walk stops at those nodes,
-taking their longest path from ``sn`` and counting the nodes and edges
-below them with a plain set walk; every node of each finite acyclic graph
-joins ``sn``, so later walks under the same relation reuse earlier
-certificates.
+catch cycles, and caps the number of distinct nodes by a budget.  It
+takes ``sn``, a map from each node already proved strongly normalizing to
+its longest path, closed under successors.  The walk stops at those
+nodes, taking their longest path from ``sn`` and counting the nodes and
+edges below them with a plain set walk.  Each node it walks joins ``sn``
+with its longest path as it leaves the path, all its steps done, so later
+walks under the same relation reuse earlier certificates.
 
 ``certify`` runs that walk for terms and closures alike, after a cheap
 scan for a cycle near the root.  Both keep their path on an explicit
@@ -78,8 +77,11 @@ def explore(
 
     ``sn`` maps nodes already proved strongly normalizing to their longest
     path and is closed under successors.  The walk stops at its nodes and
-    only counts the nodes and edges below them; on an acyclic graph every
-    new node joins ``sn``, which is left alone otherwise.
+    only counts the nodes and edges below them.  A new node joins ``sn``
+    when it leaves the stack: no step from it closed a cycle and each led
+    into ``sn``, so its certificate holds whatever the rest of the walk
+    finds, and the nodes finished before a cycle or a budget failure keep
+    theirs.
 
     One table marks every reached node, True while it is on the path, so
     a revisited edge costs one lookup to tell a cycle from a node already
@@ -90,27 +92,26 @@ def explore(
         raise BudgetExceeded(f"more than {budget} reachable nodes")
     seen: dict[Node, bool] = {}  # reached nodes: True while on the path
     border: list[Node] = []  # reached nodes of sn, not yet walked
-    succ_of: dict[Node, tuple[Node, ...]] = {}  # new nodes' proper steps
-    finish: list[Node] = []
+    edges = 0
 
-    def enter(n: Node) -> Iterator[Node]:
+    def enter(n: Node) -> tuple[Node, tuple[Node, ...], Iterator[Node]]:
         seen[n] = True
-        out = succ_of[n] = tuple(s for s in successors(n) if s != n)
-        return iter(out)
+        out = tuple(s for s in successors(n) if s != n)
+        return n, out, iter(out)
 
-    stack = []
+    stack = []  # per node on the path: the node, its proper steps, those left
     if root in sn:
         seen[root] = False
         border.append(root)
     else:
-        stack.append((root, enter(root)))
+        stack.append(enter(root))
     while stack:
-        node, pending = stack[-1]
+        node, out, pending = stack[-1]
         for child in pending:
             on_path = seen.get(child)
             if on_path is not None:
                 if on_path:
-                    path = [n for n, _ in stack]
+                    path = [n for n, _, _ in stack]
                     return Cycle(tuple(path[path.index(child) :]))
                 continue
             if len(seen) >= budget:
@@ -119,15 +120,16 @@ def explore(
                 seen[child] = False
                 border.append(child)
             else:
-                stack.append((child, enter(child)))
+                stack.append(enter(child))
                 break
         else:
+            # every step of the node led to sn, so the node joins it
             stack.pop()
             seen[node] = False
-            finish.append(node)
+            edges += len(out)
+            sn[node] = 1 + max(sn[s] for s in out) if out else 0
     # sn is closed under successors, so below the border every node is in
     # sn and only the counts remain to be taken.
-    edges = sum(map(len, succ_of.values()))
     while border:
         n = border.pop()
         for s in successors(n):
@@ -138,9 +140,6 @@ def explore(
                         raise BudgetExceeded(f"more than {budget} reachable nodes")
                     seen[s] = False
                     border.append(s)
-    for n in finish:
-        out = succ_of[n]
-        sn[n] = 1 + max(sn[s] for s in out) if out else 0
     return len(seen), edges, sn[root]
 
 
@@ -205,10 +204,10 @@ def certify(
     no cycle passes through it, and every node it reaches is strongly
     normalizing too, so the first cycle found is the same.  The
     exploration walks the new nodes in any order and stops at ``sn``
-    nodes, counting what lies below them; when it finds no cycle, every
-    new node joins ``sn`` with its longest path.  On a cycle or a budget
-    failure it walks the whole graph again in order, without ``sn``, so
-    no report, cycle or failure depends on what ``sn`` held.
+    nodes, counting what lies below them; each node it finishes joins
+    ``sn`` with its longest path.  On a cycle or a budget failure it walks
+    the whole graph again in order, without ``sn``, so no report, cycle or
+    failure depends on what ``sn`` held.
     """
 
     got = _scan(root, depth, order, skeleton, closes, sn)

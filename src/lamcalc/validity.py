@@ -116,9 +116,10 @@ def snv_check(params: Params, env: Env, term: Term) -> ValidityReport:
     validity implies such an arity, and the arity in turn guarantees the
     normalization calls below terminate.  The arity also resolves every
     reference, in every part and every referred entry, so each subterm
-    checked has a degree and, for every ``n``, a static type.  Resource
-    exhaustion is reported as a failure, never raised.  The rules that
-    can fail are thus ``arity``, ``resources``, ``cast`` and ``appl``.
+    checked has a degree and, for every ``n``, a static type.  Running out
+    of normalization fuel is reported as a failure, never raised.  The
+    rules that can fail are thus ``arity``, ``resources`` (fuel), ``cast``
+    and ``appl``.
     """
 
     if aaa(env, term) is None:
@@ -127,8 +128,6 @@ def snv_check(params: Params, env: Env, term: Term) -> ValidityReport:
         return _snv(params, env, term, "")
     except FuelExhausted as e:
         return _invalid("", "resources", f"normalization fuel exhausted: {e}")
-    except BudgetExceeded as e:
-        return _invalid("", "resources", f"search budget exhausted: {e}")
 
 
 def _snv(params: Params, env: Env, term: Term, pos: str) -> ValidityReport:
@@ -322,8 +321,8 @@ def preservation_report(params: Params, env: Env, term: Term) -> PreservationRep
     reduct of the term and of the environment.
 
     Meaningful when the closure is valid; on an invalid closure all four
-    checks fail vacuously against the validity premise.  Resource
-    exhaustion on an instance is recorded as that instance's failure.
+    checks fail vacuously against the validity premise.  Running out of
+    fuel on a commutation instance is recorded as that instance's failure.
     """
 
     failures: list[str] = []
@@ -370,7 +369,7 @@ def preservation_report(params: Params, env: Env, term: Term) -> PreservationRep
                             f"yields {'nothing' if u2 is None else print_term(u2)}"
                             f", not convertible with {print_term(u1)}"
                         )
-                except (FuelExhausted, BudgetExceeded) as e:
+                except FuelExhausted as e:
                     types_commute_ok = False
                     failures.append(f"resources at {print_closure(l2, t2)}: {e}")
 

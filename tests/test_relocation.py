@@ -6,7 +6,7 @@ from hypothesis import given
 from genterms import terms
 from lamcalc import Bind, Flat, Sort, Var, parse_env, parse_term
 from lamcalc.relocation import delift, drop, drops, lift, lifts, liftv, lreq
-from lamcalc.universe import enumerate_closures, enumerate_terms
+from lamcalc.universe import enumerate_closures, enumerate_envs, enumerate_terms
 
 lm = st.tuples(st.integers(0, 4), st.integers(0, 4))
 
@@ -143,6 +143,28 @@ def test_drop_head_law():
                 assert len(got) == n - m
             else:
                 assert got is None
+
+
+def _drop_recursive(l, m, env):
+    """``drop`` by its recursive definition, entry by entry."""
+
+    if l == 0:
+        if m == 0:
+            return env
+        return _drop_recursive(0, m - 1, env[1:]) if env else None
+    if not env:
+        return env if m == 0 else None
+    kind, side = env[0]
+    side2 = delift(l - 1, m, side)
+    rest = None if side2 is None else _drop_recursive(l - 1, m, env[1:])
+    return None if rest is None else ((kind, side2),) + rest
+
+
+def test_drop_matches_its_recursive_definition():
+    for env in enumerate_envs(2, 2, 1, 3):
+        for l in range(4):
+            for m in range(4):
+                assert drop(l, m, env) == _drop_recursive(l, m, env), (l, m, env)
 
 
 def test_drops():

@@ -85,6 +85,16 @@ def test_depth_zero_skips_the_scan():
     assert sn == {3: 2, 4: 1, 5: 0}
 
 
+def test_nodes_finished_before_a_cycle_keep_their_certificates():
+    """The branch 1 -> 2 finishes before the branch 3 -> 4 closes a cycle:
+    its nodes were walked to the end, so they join ``sn`` all the same."""
+
+    graph = {0: [1, 3], 1: [2], 2: [], 3: [4], 4: [3]}
+    sn: dict[int, int] = {}
+    assert explore(0, lambda n: graph[n], 100, sn) == Cycle((3, 4))
+    assert sn == {1: 1, 2: 0}
+
+
 def test_root_in_sn_still_gets_the_exact_report():
     sn = {3: 2, 4: 1, 5: 0}
     assert _certify(DAG, 3, depth=4, sn=sn) == (3, 3, 2)
