@@ -13,7 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import IO, Sequence
+from dataclasses import asdict
+from typing import IO, Callable, Sequence
 
 from .arity import aaa
 from .bigtree import fsb_certify
@@ -23,7 +24,7 @@ from .props import SUITES, run_suite
 from .reduction import conv, cpr_reducts, normalize
 from .sexpr import ParseError, parse_env, parse_term, print_closure, print_term
 from .statics import da, lstas
-from .terms import Params
+from .terms import Env, Params, Term
 from .traversal import Cycle
 from .validity import snv_check
 
@@ -38,6 +39,9 @@ _EXIT_FAILS = 1
 _EXIT_INPUT = 2
 _EXIT_RESOURCES = 3
 _EXIT_CYCLE = 4
+
+# An invocation's exit code, JSON result and error message.
+_Answer = tuple[int, object, str | None]
 
 
 class _CliError(Exception):
@@ -98,6 +102,48 @@ def _natural(text: str) -> int:
     return value
 
 
+def _holds(b: bool) -> _Answer:
+    return (_EXIT_OK if b else _EXIT_FAILS), b, None
+
+
+def _defined(value: object, show: Callable, error: str) -> _Answer:
+    """``show(value)``, or ``error`` when the judgment assigns no value."""
+
+    if value is None:
+        return _EXIT_FAILS, None, error
+    return _EXIT_OK, show(value), None
+
+
+def _certificate(got: object, show: Callable) -> _Answer:
+    """A certifier's report, or its cycle with each node shown."""
+
+    if isinstance(got, Cycle):
+        return _EXIT_CYCLE, {"cycle": [show(n) for n in got.path]}, "cycle detected"
+    return _EXIT_OK, asdict(got), None
+
+
+def _check(params: Params, env: Env, t: Term, args: argparse.Namespace) -> _Answer:
+    report = snv_check(params, env, t)
+    return (_EXIT_OK if report.valid else _EXIT_FAILS), asdict(report), None
+
+
+# The subcommands that judge one term under ``--env``, each as
+# ``answer(params, env, term, args)``.
+_ON_A_TERM: dict[str, Callable[..., _Answer]] = {
+    "check": _check,
+    "arity": lambda p, e, t, a: _defined(aaa(e, t), str, "no applicability arity"),
+    "degree": lambda p, e, t, a: _defined(da(p, e, t), int, "no degree"),
+    "stype": lambda p, e, t, a: _defined(lstas(p, e, t, a.n), print_term,
+                                         f"no static type at {a.n}"),
+    "nf": lambda p, e, t, a: (_EXIT_OK, print_term(normalize(e, t, p.fuel)), None),
+    "reducts": lambda p, e, t, a: (_EXIT_OK, sorted(map(print_term, (
+        cpx_reducts(p, e, t) if a.extended else cpr_reducts(e, t, p.budget)))), None),
+    "csx": lambda p, e, t, a: _certificate(csx_certify(p, e, t), print_term),
+    "bigtree": lambda p, e, t, a: _certificate(fsb_certify(p, e, t),
+                                               lambda c: print_closure(*c)),
+}
+
+
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     for key, field in _FIELDS.items():
@@ -106,39 +152,31 @@ def _build_parser() -> _Parser:
 
     top = _Parser(prog="lamcalc", add_help=False)
     sub = top.add_subparsers(dest="command", required=True)
-
-    def cmd(name: str, env: bool = True) -> _Parser:
+    # in this order in the usage and error messages
+    for name in ("parse", "check", "arity", "degree", "stype", "nf", "reducts",
+                 "conv", "lleq", "csx", "bigtree", "props"):
         p = sub.add_parser(name, add_help=False, parents=[common])
-        if env:
+        if name in _ON_A_TERM or name == "conv":
             p.add_argument("--env", default="[]")
-        return p
-
-    cmd("parse", env=False).add_argument("term")
-    cmd("check").add_argument("term")
-    cmd("arity").add_argument("term")
-    cmd("degree").add_argument("term")
-    p = cmd("stype")
-    p.add_argument("--n", type=_natural, required=True)
-    p.add_argument("term")
-    cmd("nf").add_argument("term")
-    p = cmd("reducts")
-    p.add_argument("--extended", action="store_true")
-    p.add_argument("term")
-    p = cmd("conv")
-    p.add_argument("term1")
-    p.add_argument("term2")
-    p = cmd("lleq", env=False)
-    p.add_argument("--l", type=_natural, required=True)
-    p.add_argument("--t", required=True)
-    p.add_argument("env1")
-    p.add_argument("env2")
-    cmd("csx").add_argument("term")
-    cmd("bigtree").add_argument("term")
-    p = cmd("props", env=False)
-    p.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p.add_argument("--size", type=_natural, default=3)
-    p.add_argument("--envlen", type=_natural, default=1)
-    p.add_argument("--maxsort", type=_natural, default=1)
+        if name == "stype":
+            p.add_argument("--n", type=_natural, required=True)
+        elif name == "reducts":
+            p.add_argument("--extended", action="store_true")
+        elif name == "conv":
+            p.add_argument("term1")
+            p.add_argument("term2")
+        elif name == "lleq":
+            p.add_argument("--l", type=_natural, required=True)
+            p.add_argument("--t", required=True)
+            p.add_argument("env1")
+            p.add_argument("env2")
+        elif name == "props":
+            p.add_argument("--suite", required=True, choices=sorted(SUITES))
+            p.add_argument("--size", type=_natural, default=3)
+            p.add_argument("--envlen", type=_natural, default=1)
+            p.add_argument("--maxsort", type=_natural, default=1)
+        if name in _ON_A_TERM or name == "parse":
+            p.add_argument("term")
     return top
 
 
@@ -146,82 +184,22 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
-def _dispatch(args: argparse.Namespace) -> tuple[int, object, str | None]:
+def _dispatch(args: argparse.Namespace) -> _Answer:
     params = _params(args)
-
     if args.command == "parse":
         return _EXIT_OK, print_term(parse_term(args.term)), None
-
     if args.command == "props":
-        bad = run_suite(args.suite, params, args.size, args.envlen,
-                        args.maxsort)
+        bad = run_suite(args.suite, params, args.size, args.envlen, args.maxsort)
         result = {"suite": args.suite, "counterexamples": bad}
         return (_EXIT_OK if not bad else _EXIT_FAILS), result, None
-
     if args.command == "lleq":
-        holds = lleq_holds(args.l, parse_term(args.t),
-                           parse_env(args.env1), parse_env(args.env2))
-        return (_EXIT_OK if holds else _EXIT_FAILS), holds, None
-
-    env = parse_env(args.env)
-
-    if args.command == "check":
-        report = snv_check(params, env, parse_term(args.term))
-        result = {"valid": report.valid,
-                  "failure": list(report.failure) if report.failure else None}
-        return (_EXIT_OK if report.valid else _EXIT_FAILS), result, None
-
-    if args.command == "arity":
-        a = aaa(env, parse_term(args.term))
-        if a is None:
-            return _EXIT_FAILS, None, "no applicability arity"
-        return _EXIT_OK, str(a), None
-
-    if args.command == "degree":
-        d = da(params, env, parse_term(args.term))
-        if d is None:
-            return _EXIT_FAILS, None, "no degree"
-        return _EXIT_OK, d, None
-
-    if args.command == "stype":
-        u = lstas(params, env, parse_term(args.term), args.n)
-        if u is None:
-            return _EXIT_FAILS, None, f"no static type at {args.n}"
-        return _EXIT_OK, print_term(u), None
-
-    if args.command == "nf":
-        return _EXIT_OK, print_term(
-            normalize(env, parse_term(args.term), params.fuel)), None
-
-    if args.command == "reducts":
-        t = parse_term(args.term)
-        if args.extended:
-            reducts = cpx_reducts(params, env, t)
-        else:
-            reducts = cpr_reducts(env, t, params.budget)
-        return _EXIT_OK, sorted(print_term(u) for u in reducts), None
-
+        return _holds(lleq_holds(args.l, parse_term(args.t),
+                                 parse_env(args.env1), parse_env(args.env2)))
     if args.command == "conv":
-        holds = conv(env, parse_term(args.term1), parse_term(args.term2),
-                     params.fuel)
-        return (_EXIT_OK if holds else _EXIT_FAILS), holds, None
-
-    if args.command == "csx":
-        got = csx_certify(params, env, parse_term(args.term))
-        if isinstance(got, Cycle):
-            cycle = {"cycle": [print_term(t) for t in got.path]}
-            return _EXIT_CYCLE, cycle, "cycle detected"
-        return _EXIT_OK, {"nodes": got.nodes, "max_depth": got.max_depth}, None
-
-    if args.command == "bigtree":
-        got = fsb_certify(params, env, parse_term(args.term))
-        if isinstance(got, Cycle):
-            cycle = {"cycle": [print_closure(*c) for c in got.path]}
-            return _EXIT_CYCLE, cycle, "cycle detected"
-        return _EXIT_OK, {"nodes": got.nodes, "edges": got.edges,
-                          "max_depth": got.max_depth}, None
-
-    raise _CliError(f"unknown command {args.command!r}")
+        return _holds(conv(parse_env(args.env), parse_term(args.term1),
+                           parse_term(args.term2), params.fuel))
+    return _ON_A_TERM[args.command](params, parse_env(args.env),
+                                    parse_term(args.term), args)
 
 
 def run(argv: Sequence[str], out: IO[str] | None = None) -> int:

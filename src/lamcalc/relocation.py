@@ -5,7 +5,8 @@ up by ``m``; ``delift`` is its partial inverse.  Both are one walk, a shift
 by a signed distance.  ``drop(l, m, env)`` removes the ``m`` entries found
 at depth ``l``, delifting the entries kept below them; it is the
 environment counterpart of ``lift`` and is partial as well.  Partial
-operations return ``None`` when undefined.
+operations return ``None`` when undefined.  Each raises ``ValueError`` on a
+negative level or height.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ __all__ = [
 
 # A relocation pair (level, height).
 RelocPair = tuple[int, int]
+
+
+def _naturals(l: int, m: int) -> None:
+    if l < 0 or m < 0:
+        raise ValueError(f"level l and height m must be naturals, not {l} and {m}")
 
 
 def _shift(l: int, d: int, t: Term) -> Optional[Term]:
@@ -60,6 +66,7 @@ def lift(l: int, m: int, t: Term) -> Term:
     """``t`` with every reference at depth ``l`` or deeper raised by ``m``;
     ``t`` itself when no reference moves."""
 
+    _naturals(l, m)
     return _shift(l, m, t)
 
 
@@ -70,6 +77,7 @@ def delift(l: int, m: int, t: Term) -> Optional[Term]:
     ``l <= i < l + m``.  ``t`` itself when no reference moves.
     """
 
+    _naturals(l, m)
     return _shift(l, -m, t)
 
 
@@ -95,6 +103,7 @@ def drop(l: int, m: int, env: Env) -> Optional[Env]:
     gets delifted, which fails when such an entry refers into the band.
     """
 
+    _naturals(l, m)
     if m and len(env) < l + m:
         return None
     kept = []
@@ -120,6 +129,7 @@ def drops(pairs: Iterable[RelocPair], env: Env) -> Optional[Env]:
 def lreq(l: int, m: int, env1: Env, env2: Env) -> bool:
     """Equal length and identical entries at depths ``l <= i < l + m``."""
 
+    _naturals(l, m)
     if len(env1) != len(env2):
         return False
     hi = min(l + m, len(env1))

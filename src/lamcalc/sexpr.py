@@ -25,8 +25,6 @@ __all__ = [
     "print_closure",
 ]
 
-_BIND_WORD = {BindKind.ABBR: "abbr", BindKind.ABST: "abst"}
-_FLAT_WORD = {FlatKind.APPL: "appl", FlatKind.CAST: "cast"}
 _ITEM_KIND = {
     "abbr": (Bind, BindKind.ABBR),
     "abst": (Bind, BindKind.ABST),
@@ -34,6 +32,14 @@ _ITEM_KIND = {
     "cast": (Flat, FlatKind.CAST),
 }
 _ENTRY_KIND = {"def": BindKind.ABBR, "dec": BindKind.ABST}
+# Printing inverts the two tables above.  Each constructor's keywords are
+# listed by kind, so printing an item costs one dict lookup.
+_ITEM_WORDS = {
+    ctor: tuple(w for _, w in sorted((k, w) for w, (c, k) in _ITEM_KIND.items()
+                                     if c is ctor))
+    for ctor in (Bind, Flat)
+}
+_ENTRY_WORD = {kind: word for word, kind in _ENTRY_KIND.items()}
 # ASCII only: str.isdigit() also holds for digits of other scripts and for
 # superscripts, which int() reads differently or not at all.
 _DIGITS = frozenset("0123456789")
@@ -151,8 +157,7 @@ def print_term(t: Term) -> str:
     cls = type(t)
     if cls is Bind or cls is Flat:
         _, kind, side, body = t
-        word = (_BIND_WORD if cls is Bind else _FLAT_WORD)[kind]
-        return f"({word} {print_term(side)} {print_term(body)})"
+        return f"({_ITEM_WORDS[cls][kind]} {print_term(side)} {print_term(body)})"
     if cls is Var:
         return f"#{t[1]}"
     if cls is Sort:
@@ -161,8 +166,7 @@ def print_term(t: Term) -> str:
 
 
 def print_env(env: Env) -> str:
-    words = {BindKind.ABBR: "def", BindKind.ABST: "dec"}
-    parts = [f"{words[kind]} {print_term(side)}" for kind, side in reversed(env)]
+    parts = [f"{_ENTRY_WORD[kind]} {print_term(side)}" for kind, side in reversed(env)]
     return "[" + "; ".join(parts) + "]"
 
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -267,6 +269,86 @@ def test_every_output_is_one_json_line(argv):
     first = invoke(argv)
     second = invoke(argv)
     assert first == second  # bit-identical reruns
+
+
+# Each subcommand's answer both ways, as the exact line it prints.
+_PINNED = [
+    (["parse", "(appl  *0   #1 )"], 0, '{"ok": true, "result": "(appl *0 #1)"}'),
+    (["parse", "(appl *0"], 2,
+     '{"error": "expected a term (at character 8)", "ok": false, "result": null}'),
+    (["check", "*0"], 0, '{"ok": true, "result": {"failure": null, "valid": true}}'),
+    (["check", "(appl *0 (abst *0 #0))"], 1,
+     '{"ok": false, "result": {"failure": ["", "appl", '
+     '"no iterated type abstracts over *1"], "valid": false}}'),
+    (["arity", "(abst *0 #0)"], 0, '{"ok": true, "result": "(* -> *)"}'),
+    (["arity", "#0"], 1,
+     '{"error": "no applicability arity", "ok": false, "result": null}'),
+    (["degree", "--env", "[dec *0]", "#0"], 0, '{"ok": true, "result": 3}'),
+    (["degree", "#0"], 1, '{"error": "no degree", "ok": false, "result": null}'),
+    (["stype", "--n", "2", "(abst *0 #0)"], 0,
+     '{"ok": true, "result": "(abst *0 *1)"}'),
+    (["stype", "--n", "2", "#0"], 1,
+     '{"error": "no static type at 2", "ok": false, "result": null}'),
+    (["stype"], 2, '{"error": "the following arguments are required: --n, term", '
+     '"ok": false, "result": null}'),
+    (["nf", "(appl *0 (abst *0 #0))"], 0, '{"ok": true, "result": "*0"}'),
+    (["nf", "--fuel", "3", OMEGA_SRC], 3, '{"error": "fuel exhausted: no normal '
+     'form within 3 rounds", "ok": false, "result": null}'),
+    (["reducts", "(appl *0 (abst *0 #0))"], 0,
+     '{"ok": true, "result": ["(abbr (cast *0 *0) #0)", "(appl *0 (abst *0 #0))"]}'),
+    (["reducts", "--extended", "(cast *1 *0)"], 0,
+     '{"ok": true, "result": ["(cast *1 *0)", "(cast *1 *1)", "(cast *2 *0)", '
+     '"(cast *2 *1)", "*0", "*1", "*2"]}'),
+    (["reducts", "--extended", "--budget", "0", "(appl *0 (abst *0 #0))"], 3,
+     '{"error": "budget exceeded: reduct set would exceed 0 elements", '
+     '"ok": false, "result": null}'),
+    (["conv", "(appl *0 (abst *0 #0))", "*0"], 0, '{"ok": true, "result": true}'),
+    (["conv", "*0", "*1"], 1, '{"ok": false, "result": false}'),
+    (["conv", "*0"], 2, '{"error": "the following arguments are required: term2", '
+     '"ok": false, "result": null}'),
+    (["lleq", "--l", "0", "--t", "#0", "[dec *0]", "[dec *0]"], 0,
+     '{"ok": true, "result": true}'),
+    (["lleq", "--l", "0", "--t", "#0", "[dec *0]", "[dec *1]"], 1,
+     '{"ok": false, "result": false}'),
+    (["lleq"], 2, '{"error": "the following arguments are required: --l, --t, '
+     'env1, env2", "ok": false, "result": null}'),
+    (["csx", "(abst *1 #0)"], 0,
+     '{"ok": true, "result": {"max_depth": 3, "nodes": 6}}'),
+    (["csx", OMEGA_SRC], 4, '{"error": "cycle detected", "ok": false, "result": '
+     '{"cycle": ["(appl (abst *0 (appl #0 #0)) (abst *0 (appl #0 #0)))", '
+     '"(abbr (cast *0 (abst *0 (appl #0 #0))) (appl #0 #0))"]}}'),
+    (["bigtree", "(abst *1 #0)"], 0,
+     '{"ok": true, "result": {"edges": 36, "max_depth": 5, "nodes": 14}}'),
+    (["bigtree", OMEGA_SRC], 4, '{"error": "cycle detected", "ok": false, "result": '
+     '{"cycle": ["[] |- (appl (abst *0 (appl #0 #0)) (abst *0 (appl #0 #0)))", '
+     '"[] |- (abbr (cast *0 (abst *0 (appl #0 #0))) (appl #0 #0))"]}}'),
+    (["props", "--suite", "diamond", "--size", "1", "--envlen", "0",
+      "--maxsort", "0"], 0,
+     '{"ok": true, "result": {"counterexamples": [], "suite": "diamond"}}'),
+    (["props", "--suite", "nope"], 2, '{"error": "argument --suite: invalid choice: '
+     "'nope' (choose from 'arity-preservation', 'church-rosser', 'diamond', "
+     "'lleq-laws', 'sn-extended', 'statics-laws', 'subject-reduction', "
+     "'very-big-tree')" '", "ok": false, "result": null}'),
+    (["bogus"], 2, '{"error": "argument command: invalid choice: '
+     "'bogus' (choose from 'parse', 'check', 'arity', 'degree', 'stype', 'nf', "
+     "'reducts', 'conv', 'lleq', 'csx', 'bigtree', 'props')" '", "ok": false, '
+     '"result": null}'),
+]
+
+
+@pytest.mark.parametrize("argv, code, line", _PINNED)
+def test_pinned_output(argv, code, line):
+    buf = io.StringIO()
+    assert run(argv, out=buf) == code
+    assert buf.getvalue() == line + "\n"
+
+
+def test_readme_lists_the_subcommands_in_parser_order():
+    _, payload = invoke(["bogus"])
+    choices = re.findall(r"'([a-z]+)'", payload["error"].split("choose from")[1])
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = readme.split("Subcommands:", 1)[1].split(".\n", 1)[0]
+    assert re.findall(r"`([a-z]+)", listed) == choices
 
 
 def test_console_entry_point():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
 from genterms import terms
@@ -206,3 +207,27 @@ def test_lreq_transitive():
                 for c in pool:
                     if (b, c) in related:
                         assert (a, c) in related
+
+
+_ENV2 = parse_env("[dec *0; dec *1]")
+
+
+@pytest.mark.parametrize("l, m", [(-1, 0), (0, -1), (0, -2), (-1, 2)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda l, m: lift(l, m, Var(0)),
+        lambda l, m: delift(l, m, Var(0)),
+        lambda l, m: liftv(l, m, (Var(0),)),
+        lambda l, m: lifts([(l, m)], Var(0)),
+        lambda l, m: drop(l, m, _ENV2),
+        lambda l, m: drops([(l, m)], _ENV2),
+        lambda l, m: lreq(l, m, _ENV2, _ENV2),
+    ],
+    ids=["lift", "delift", "liftv", "lifts", "drop", "drops", "lreq"],
+)
+def test_negative_level_or_height_is_rejected(call, l, m):
+    # a negative height once made lift return None, delift shift upwards,
+    # drop keep the wrong entries and lreq hold on an empty band
+    with pytest.raises(ValueError, match="must be naturals"):
+        call(l, m)
