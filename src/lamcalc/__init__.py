@@ -10,171 +10,39 @@ in a process; ``clear_caches`` empties them all.
 
 from __future__ import annotations
 
-from .errors import BudgetExceeded, FuelExhausted
-from .terms import (
-    Bind,
-    BindKind,
-    Closure,
-    Env,
-    Flat,
-    FlatKind,
-    Params,
-    Sort,
-    Term,
-    Var,
-    abbr,
-    abst,
-    appl,
-    applv,
-    append,
-    cast,
-    env_push,
-    length,
-    simple,
-    term_size,
-    tsts,
+# Each module's ``__all__`` is the one list of what the package exports
+# from it.
+from .errors import *
+from .terms import *
+from .sexpr import *
+from .universe import *
+from .relocation import *
+from .reduction import *
+from .statics import *
+from .arity import *
+from .traversal import *
+from .extended import *
+from .bigtree import *
+from .validity import *
+from .props import *
+from .memo import *
+from . import (
+    errors, terms, sexpr, universe, relocation, reduction, statics,
+    arity, traversal, extended, bigtree, validity, props, memo,
 )
-from .sexpr import ParseError, parse_env, parse_term, print_env, print_term
-from .universe import enumerate_closures
-from .relocation import delift, drop, drops, lift, lifts, liftv, lreq
-from .reduction import (
-    conv,
-    cpr_full,
-    cpr_holds,
-    cpr_reducts,
-    cprs_holds,
-    lpr_holds,
-    lpr_reducts,
-    lsubr_holds,
-    normalize,
-)
-from .statics import da, lstas, lsubd_holds
-from .arity import Arity, Arrow, Base, aaa, lsuba_holds
-from .traversal import Cycle, SnReport
-from .extended import (
-    cnx_holds,
-    cpx_holds,
-    cpx_reducts,
-    csx_certify,
-    frees_holds,
-    frees_indices,
-    lcosx_certify,
-    lleq_holds,
-    llor,
-    lpx_holds,
-    lpx_reducts,
-    lsx_certify,
-)
-from .bigtree import (
-    BigTreeReport,
-    fpb_successors,
-    fpbq_holds,
-    fqu_children,
-    fqus_holds,
-    fquq_holds,
-    fsb_certify,
-    fsb_graph,
-)
-from .validity import (
-    PreservationReport,
-    ValidityReport,
-    lsubsv_holds,
-    preservation_report,
-    scpds_check,
-    scpes_check,
-    shnv_check,
-    snv_check,
-    snv_oracle,
-)
-from .props import SUITES, run_suite
-from .memo import clear_caches
 
-__all__ = [
-    "BudgetExceeded",
-    "FuelExhausted",
-    "clear_caches",
-    "Bind",
-    "BindKind",
-    "Closure",
-    "Env",
-    "Flat",
-    "FlatKind",
-    "Params",
-    "Sort",
-    "Term",
-    "Var",
-    "abbr",
-    "abst",
-    "appl",
-    "applv",
-    "append",
-    "cast",
-    "env_push",
-    "length",
-    "simple",
-    "term_size",
-    "tsts",
-    "ParseError",
-    "parse_env",
-    "parse_term",
-    "print_env",
-    "print_term",
-    "enumerate_closures",
-    "lift",
-    "liftv",
-    "lifts",
-    "delift",
-    "drop",
-    "drops",
-    "lreq",
-    "cpr_reducts",
-    "cpr_holds",
-    "lpr_reducts",
-    "lpr_holds",
-    "cpr_full",
-    "normalize",
-    "cprs_holds",
-    "conv",
-    "lsubr_holds",
-    "lstas",
-    "da",
-    "lsubd_holds",
-    "Arity",
-    "Base",
-    "Arrow",
-    "aaa",
-    "lsuba_holds",
-    "Cycle",
-    "SnReport",
-    "cpx_reducts",
-    "cpx_holds",
-    "lpx_reducts",
-    "lpx_holds",
-    "cnx_holds",
-    "csx_certify",
-    "frees_holds",
-    "frees_indices",
-    "lleq_holds",
-    "llor",
-    "lsx_certify",
-    "lcosx_certify",
-    "BigTreeReport",
-    "fqu_children",
-    "fquq_holds",
-    "fqus_holds",
-    "fpb_successors",
-    "fpbq_holds",
-    "fsb_certify",
-    "fsb_graph",
-    "ValidityReport",
-    "PreservationReport",
-    "scpds_check",
-    "scpes_check",
-    "snv_check",
-    "snv_oracle",
-    "shnv_check",
-    "lsubsv_holds",
-    "preservation_report",
-    "SUITES",
-    "run_suite",
-]
+__all__ = []
+__all__ += errors.__all__
+__all__ += terms.__all__
+__all__ += sexpr.__all__
+__all__ += universe.__all__
+__all__ += relocation.__all__
+__all__ += reduction.__all__
+__all__ += statics.__all__
+__all__ += arity.__all__
+__all__ += traversal.__all__
+__all__ += extended.__all__
+__all__ += bigtree.__all__
+__all__ += validity.__all__
+__all__ += props.__all__
+__all__ += memo.__all__

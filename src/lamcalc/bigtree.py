@@ -12,18 +12,10 @@ call under the same sort hierarchy, and successor sets are kept.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from .arity import aaa
-from .extended import (
-    Cycle,
-    _frees,
-    _seq_steps,
-    _step_to,
-    lleq_holds,
-    lpx_holds,
-)
+from .extended import _frees, _seq_steps, _step_to, lleq_holds, lpx_holds
 from .reduction import _UNSET, _guard, env_reducts, one_step
 from .relocation import delift
 from .sexpr import print_closure
@@ -39,7 +31,7 @@ from .terms import (
     closure_measure,
     env_push,
 )
-from .traversal import certify, reach
+from .traversal import Cycle, certify, reach
 from .universe import closure_key
 
 __all__ = [
@@ -258,12 +250,14 @@ _SUCCESSORS: dict[tuple[int, int], dict[Closure, tuple[frozenset[Closure], int]]
 def _kept_successors(params: Params, c: Closure) -> frozenset[Closure]:
     """:func:`fpb_successors`, memoized.  ``BudgetExceeded`` is raised, hit
     or miss, when a reduct set drawn on has more than ``params.budget``
-    elements, so a cold and a warm call raise alike."""
+    elements, so a cold and a warm call raise alike.  A miss draws its
+    reduct sets under that budget, so it stops before building one that
+    is too large; a set that fits is the same whatever budget drew it."""
 
     ext = (params.c, params.big_d)
     got = _SUCCESSORS.get(ext, _UNSET).get(c)
     if got is None:
-        got = _SUCCESSORS.setdefault(ext, {})[c] = _successors(ext, *c, sys.maxsize)
+        got = _SUCCESSORS.setdefault(ext, {})[c] = _successors(ext, *c, params.budget)
     out, reducts = got
     _guard(reducts, params.budget)
     return out

@@ -4,8 +4,8 @@ Every invocation prints exactly one JSON object on standard output:
 ``{"ok": bool, "result": ...}`` plus an ``"error"`` key when something
 went wrong.  Exit codes: 0 the judgment holds or the command succeeded,
 1 it does not hold, 2 the input was malformed, 3 a fuel or budget limit
-was hit or the input nests too deep for the interpreter's stack, 4 a
-certification traversal found a cycle.
+was hit, the input nests too deep for the interpreter's stack, or the
+process ran out of memory, 4 a certification traversal found a cycle.
 """
 
 from __future__ import annotations
@@ -217,6 +217,8 @@ def run(argv: Sequence[str], out: IO[str] | None = None) -> int:
         code, result, error = _EXIT_RESOURCES, None, f"budget exceeded: {e}"
     except RecursionError as e:
         code, result, error = _EXIT_RESOURCES, None, f"nesting too deep: {e}"
+    except MemoryError:
+        code, result, error = _EXIT_RESOURCES, None, "out of memory"
     payload: dict[str, object] = {"ok": code == _EXIT_OK, "result": result}
     if error is not None:
         payload["error"] = error

@@ -56,8 +56,6 @@ __all__ = [
     "llor",
     "lsx_certify",
     "lcosx_certify",
-    "Cycle",
-    "SnReport",
 ]
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from . import arity, bigtree, extended, reduction, statics
 
-__all__ = ["TABLES", "clear_caches"]
+__all__ = ["clear_caches"]
 
 # Every memo table of the package.
 TABLES = (

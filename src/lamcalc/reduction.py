@@ -47,10 +47,6 @@ from .terms import (
 from .traversal import reach
 
 __all__ = [
-    "DEFAULT_BUDGET",
-    "DEFAULT_FUEL",
-    "one_step",
-    "env_reducts",
     "cpr_reducts",
     "cpr_holds",
     "lpr_reducts",
@@ -59,7 +55,6 @@ __all__ = [
     "normalize",
     "cprs_holds",
     "conv",
-    "lsub_walk",
     "lsubr_holds",
 ]
 

@@ -16,7 +16,6 @@ from typing import Iterable, Optional
 from .terms import Bind, Env, Flat, Sort, Term, Var
 
 __all__ = [
-    "RelocPair",
     "lift",
     "delift",
     "liftv",

@@ -22,7 +22,6 @@ __all__ = [
     "parse_env",
     "print_term",
     "print_env",
-    "print_closure",
 ]
 
 _ITEM_KIND = {

@@ -35,7 +35,6 @@ __all__ = [
     "Bind",
     "Flat",
     "Env",
-    "Entry",
     "Closure",
     "Params",
     "abbr",
@@ -49,7 +48,6 @@ __all__ = [
     "simple",
     "tsts",
     "term_size",
-    "closure_measure",
 ]
 
 

@@ -33,7 +33,7 @@ from typing import Callable, Collection, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import BudgetExceeded
 
-__all__ = ["Cycle", "SnReport", "certify", "explore", "reach"]
+__all__ = ["Cycle", "SnReport"]
 
 Node = TypeVar("Node", bound=Hashable)
 

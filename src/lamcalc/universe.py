@@ -12,13 +12,7 @@ from typing import Iterator
 
 from .terms import Bind, BindKind, Closure, Env, Flat, FlatKind, Sort, Term, Var
 
-__all__ = [
-    "env_key",
-    "closure_key",
-    "enumerate_terms",
-    "enumerate_envs",
-    "enumerate_closures",
-]
+__all__ = ["enumerate_closures"]
 
 
 def env_key(env: Env) -> tuple:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from lamcalc import parse_env, parse_term, print_env, print_term
-from lamcalc.cli import run
+from lamcalc.cli import _ON_A_TERM, run
 from lamcalc.props import SUITES
 from lamcalc.universe import enumerate_terms
 
@@ -370,6 +370,38 @@ def test_deep_term_is_a_resource_error(depth):
     assert code == 3
     assert payload["ok"] is False and payload["result"] is None
     assert "error" in payload
+
+
+def test_out_of_memory_is_a_resource_error(monkeypatch):
+    def exhaust(*args):
+        raise MemoryError
+
+    monkeypatch.setitem(_ON_A_TERM, "nf", exhaust)
+    assert invoke(["nf", "*0"]) == (
+        3, {"ok": False, "result": None, "error": "out of memory"}
+    )
+
+
+def test_closure_budget_stops_a_wide_reduct_set_early():
+    # Drawn under the budget, the first reduct set too large for it stops
+    # the certifier; drawn in full, this chain's sets outgrow these limits.
+    chain = "(abst *0 " * 25 + "#0" + ")" * 25
+    limit = (
+        "import resource; "
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+        "from lamcalc.cli import main; main()"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", limit, "bigtree", "--budget", "300", chain],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == (
+        '{"error": "budget exceeded: reduct set would exceed 300 elements", '
+        '"ok": false, "result": null}\n'
+    )
 
 
 # Terms of at most 4 constructors and environments of at most 2 entries,
