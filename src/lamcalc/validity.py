@@ -125,21 +125,30 @@ def snv_check(params: Params, env: Env, term: Term) -> ValidityReport:
     if aaa(env, term) is None:
         return _invalid("", "arity", "no exact applicability arity")
     try:
-        return _snv(params, env, term, "")
+        return _snv(params, env, term, "", 0)
     except FuelExhausted as e:
         return _invalid("", "resources", f"normalization fuel exhausted: {e}")
 
 
-def _snv(params: Params, env: Env, term: Term, pos: str) -> ValidityReport:
+def _snv(params: Params, env: Env, term: Term, pos: str, known: int) -> ValidityReport:
+    """``snv_check`` on a term whose ``known`` innermost entries are
+    binder sides this walk has found valid already.
+
+    A reference to one of them is valid at once, so each entry of a chain
+    of definitions is walked once.  Failures stay where they were: the walk
+    returns on an invalid side before it pushes it.
+    """
+
     cls = type(term)
     if cls is Bind or cls is Flat:
         _, kind, side, body = term
-        got = _snv(params, env, side, _at(pos, "side"))
+        got = _snv(params, env, side, _at(pos, "side"), known)
         if not got.valid:
             return got
         if cls is Bind:
-            return _snv(params, env_push(env, kind, side), body, _at(pos, "body"))
-        got = _snv(params, env, body, _at(pos, "body"))
+            return _snv(params, env_push(env, kind, side), body, _at(pos, "body"),
+                        known + 1)
+        got = _snv(params, env, body, _at(pos, "body"), known)
         if not got.valid:
             return got
         if kind == FlatKind.CAST:
@@ -167,7 +176,9 @@ def _snv(params: Params, env: Env, term: Term, pos: str) -> ValidityReport:
         )
     if cls is Var:
         _, i = term
-        return _snv(params, env[i + 1 :], env[i][1], _at(pos, "entry"))
+        if i < known:
+            return ValidityReport(True)
+        return _snv(params, env[i + 1 :], env[i][1], _at(pos, "entry"), 0)
     if cls is Sort:
         return ValidityReport(True)
     raise TypeError(f"not a term: {term!r}")

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
-import pytest
-from hypothesis import given
+import json
+import subprocess
+import sys
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import example, given, settings
+
+import sexpr_oracle
 from genterms import envs, terms
 from lamcalc import (
     Bind,
@@ -156,6 +162,108 @@ def test_flat_kinds_appl_vs_cast():
     assert parse_term("(appl *0 #0)").kind == FlatKind.APPL
     assert parse_term("(cast *0 #0)").kind == FlatKind.CAST
     assert print_term(abst(Sort(0), appl(Var(0), Var(0)))) == "(abst *0 (appl #0 #0))"
+
+
+def test_nesting_is_bounded_and_needs_no_recursion_limit():
+    """Parsing runs on its own stack: 10,000 nested items parse at the
+    default recursion limit, and nesting beyond ``MAX_NESTING`` is refused
+    before a term exists, since hashing a term that deep crashes CPython.
+    The CLI answers such a text with one JSON line and exit code 3."""
+
+    probe = """
+import io, json, sys
+from lamcalc import Sort, Var, abst, appl, parse_term
+from lamcalc.cli import run
+from lamcalc.sexpr import MAX_NESTING
+def text(n):
+    return "(appl *0 " * (n - 1) + "(abst *1 #0)" + ")" * (n - 1)
+def chain(n):
+    t = abst(Sort(1), Var(0))
+    for _ in range(n - 1):
+        t = appl(Sort(0), t)
+    return t
+def refused(n):
+    try:
+        parse_term(text(n))
+    except RecursionError:
+        return True
+    return False
+out = io.StringIO()
+code = run(["parse", text(200_000)], out=out)
+print(json.dumps([
+    sys.getrecursionlimit(),
+    hash(parse_term(text(10_000))) == hash(chain(10_000)),
+    refused(MAX_NESTING),
+    refused(MAX_NESTING + 1),
+    refused(200_000),
+    code,
+    out.getvalue().splitlines(),
+]))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        timeout=60,
+    )
+    error = '"nesting too deep: more than 20000 nested items"'
+    assert json.loads(done.stdout) == [
+        1000, True, False, True, True, 3,
+        ['{"error": ' + error + ', "ok": false, "result": null}'],
+    ]
+
+
+# The characters of the grammar, and as often one of four that tell
+# str.isalpha(), str.isdigit() and str.isspace() apart from their ASCII and
+# regular-expression cousins: a letter, a superscript two, an Arabic-Indic
+# three and an ideographic space.
+_NOISE = st.one_of(
+    st.sampled_from("()[]; *#0123456789\t\nabbrstpplcadef"),
+    st.sampled_from("\u00e9\u00b2\u0663\u3000"),
+)
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(["insert", "delete", "replace"]), st.integers(0, 2**16),
+              _NOISE),
+    max_size=4,
+)
+
+
+@st.composite
+def _mangled(draw) -> tuple[bool, str]:
+    """A printed term or environment after a few random edits."""
+
+    is_env = draw(st.booleans())
+    chars = list(print_env(draw(envs())) if is_env else print_term(draw(terms())))
+    for edit, where, ch in draw(_EDITS):
+        at = where % (len(chars) + 1)  # about uniform, unlike a drawn float
+        if edit == "insert":
+            chars.insert(at, ch)
+        elif at < len(chars):
+            if edit == "delete":
+                del chars[at]
+            else:
+                chars[at] = ch
+    return is_env, "".join(chars)
+
+
+def _outcome(parse, text: str):
+    try:
+        return repr(parse(text))
+    except ParseError as e:
+        return str(e), e.offset
+
+
+@settings(max_examples=300)
+@given(_mangled())
+@example((False, "(abst\u00b2 *0 #0)"))
+@example((True, "[\u00b2]"))
+@example((False, "*\u0663"))
+@example((False, "#0\u0663"))
+@example((True, "[\u3000dec\u3000*0\u3000]\u3000"))
+def test_parser_agrees_with_recursive_descent_oracle(case):
+    is_env, text = case
+    if is_env:
+        assert _outcome(parse_env, text) == _outcome(sexpr_oracle.parse_env, text)
+    else:
+        assert _outcome(parse_term, text) == _outcome(sexpr_oracle.parse_term, text)
 
 
 # ------------------------------------------------------------- enumeration

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from lamcalc import Params, aaa, parse_env, parse_term
+from lamcalc import (
+    Params, Sort, Var, aaa, abbr, parse_env, parse_term, term_size, validity,
+)
 from lamcalc.bigtree import BigTreeReport, fsb_certify
 from lamcalc.reduction import conv, cpr_reducts
 from lamcalc.statics import da, lstas, lsubd_holds
@@ -89,6 +91,27 @@ def test_snv_failure_positions_point_at_the_subterm():
     got = snv_check(P, (), parse_term("(abst *0 (appl *0 (abst *0 #0)))"))
     assert not got.valid
     assert got.failure[0].startswith("body")
+
+
+@pytest.mark.parametrize("depth", [50, 100])
+def test_snv_walks_each_definition_of_a_chain_once(monkeypatch, depth):
+    # (abbr *0 (abbr #0 … #0)): every #0 names the side just found valid,
+    # so no reference walks the chain again.
+    t = Var(0)
+    for _ in range(depth - 1):
+        t = abbr(Var(0), t)
+    t = abbr(Sort(0), t)
+    calls = 0
+    walk = validity._snv
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return walk(*args)
+
+    monkeypatch.setattr(validity, "_snv", counted)
+    assert snv_check(P, (), t).valid
+    assert calls <= 2 * term_size(t)
 
 
 def test_snv_oracle_examples():
