@@ -12,7 +12,18 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .reduction import _UNSET, lsub_walk
-from .terms import Bind, BindKind, Env, Flat, FlatKind, Sort, Term, Var, env_push
+from .terms import (
+    Bind,
+    BindKind,
+    Env,
+    Flat,
+    FlatKind,
+    Term,
+    Var,
+    _CLASSES,
+    _refuse,
+    env_push,
+)
 
 __all__ = ["Arity", "Base", "Arrow", "aaa", "lsuba_holds"]
 
@@ -44,6 +55,8 @@ _AAA: dict[Env, dict[Term, Optional[Arity]]] = {}
 def aaa(env: Env, term: Term) -> Optional[Arity]:
     """Infer the atomic arity, or ``None`` if there is none."""
 
+    if type(term) not in _CLASSES:
+        _refuse(term)
     got = _AAA.get(env, _UNSET).get(term, _UNSET)
     if got is not _UNSET:
         return got
@@ -66,10 +79,8 @@ def aaa(env: Env, term: Term) -> Optional[Arity]:
     elif cls is Var:
         _, i = term
         got = aaa(env[i + 1 :], env[i][1]) if i < len(env) else None
-    elif cls is Sort:
+    else:  # a sort
         got = Base()
-    else:
-        raise TypeError(f"not a term: {term!r}")
     _AAA.setdefault(env, {})[term] = got
     return got
 

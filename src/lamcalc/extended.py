@@ -37,6 +37,8 @@ from .terms import (
     Sort,
     Term,
     Var,
+    _CLASSES,
+    _refuse,
     env_push,
     term_size,
 )
@@ -78,6 +80,8 @@ _STEP: dict[tuple[int, int], dict[Env, dict[Term, dict[Term, bool]]]] = {}
 def _step_to(ext: tuple[int, int], env: Env, t1: Term, t2: Term) -> bool:
     if t1 == t2:
         return True
+    if type(t1) not in _CLASSES or type(t2) not in _CLASSES:
+        _refuse(t1, t2)
     got = _STEP.get(ext, _UNSET).get(env, _UNSET).get(t1, _UNSET).get(t2)
     if got is not None:
         return got
@@ -92,8 +96,6 @@ def _step_to(ext: tuple[int, int], env: Env, t1: Term, t2: Term) -> bool:
         _, k = t1
         c, big_d = ext
         got = t2 == Sort(k + c) and max(big_d - k // c, 0) >= 1
-    elif cls is not Bind and cls is not Flat:
-        raise TypeError(f"not a term: {t1!r}")
     else:
         _, kind, side, body = t1
         if (  # the congruence: same constructor and kind, and each part steps
@@ -244,6 +246,8 @@ def _frees(l: int, env: Env, term: Term) -> tuple[int, ...]:
     index, or a frozenset, which the garbage collector tracks for life.
     """
 
+    if type(term) not in _CLASSES:
+        _refuse(term)
     got = _FREES.get(l, _UNSET).get(env, _UNSET).get(term)
     if got is None:
         own: set[int] = set()
@@ -267,8 +271,6 @@ def _own_frees(term: Term, depth: int, out: set[int]) -> None:
     elif cls is Var:
         if term[1] >= depth:
             out.add(term[1] - depth)
-    elif cls is not Sort:
-        raise TypeError(f"not a term: {term!r}")
 
 
 def _natural(name: str, value: int) -> None:

@@ -7,9 +7,11 @@ those modules do not all reach one shared list: whatever keeps one of
 them alive (a type cache keeping its classes after a re-import, say)
 keeps only that one.
 
-A memoized judgment is one function: it looks its arguments up in its
-table, and on a miss computes the answer, recursing into itself, stores
-it and returns it, so each level of a term costs one stack frame.  A
+A memoized judgment is one function: it tests that each term argument is
+of a term class (a tuple equal to a term would find its entry), looks its
+arguments up in its table, and on a miss computes the answer, recursing
+into itself, stores it and returns it, so each level of a term costs one
+stack frame.  A
 table keyed by the sort hierarchy is looked up with the one
 ``(c, big_d)`` value that its judgment is passed and passes on, so no
 call builds that key anew.  A judgment gets no table when another table

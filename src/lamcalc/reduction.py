@@ -42,6 +42,8 @@ from .terms import (
     Sort,
     Term,
     Var,
+    _CLASSES,
+    _refuse,
     env_push,
 )
 from .traversal import reach
@@ -95,6 +97,8 @@ def one_step(ext: Ext, env: Env, term: Term, budget: int) -> frozenset[Term]:
     changes when it raises, not whether.
     """
 
+    if type(term) not in _CLASSES:
+        _refuse(term)
     got = _ONE_STEP.get(ext, _UNSET).get(env, _UNSET).get(term)
     if got is None:
 
@@ -231,6 +235,8 @@ def _develop(env: Env, term: Term) -> tuple[Term]:
     # most one contraction, and that is the development.  Running the
     # generator to its end is cheaper than closing it early, and ``next``
     # would cost a level of the recursion limit while it runs unspecialized.
+    if type(term) not in _CLASSES:
+        _refuse(term)
     got = _FULL.get(env, _UNSET).get(term)
     if got is None:
         for got in _contractions(None, env, term, _develop, 1):

@@ -52,7 +52,7 @@ _ENTRY_WORD = {kind: word for word, kind in _ENTRY_KIND.items()}
 # Parsing builds an item straight from its tuple: its constructor, its tag,
 # read off an instance so that terms.py alone states the tags, and its kind.
 _ITEM_HEADS = {
-    word: (ctor, ctor(kind, None, None)[0], kind)
+    word: (ctor, ctor(kind, Sort(0), Sort(0))[0], kind)
     for word, (ctor, kind) in _ITEM_KIND.items()
 }
 _ATOMS = {"*": Sort, "#": Var}

@@ -26,6 +26,8 @@ from .terms import (
     Sort,
     Term,
     Var,
+    _CLASSES,
+    _refuse,
     env_push,
 )
 
@@ -51,6 +53,8 @@ _DA: dict[tuple[int, int], dict[Env, dict[Term, Optional[int]]]] = {}
 
 
 def _lstas(c: int, env: Env, term: Term, n: int) -> Optional[Term]:
+    if type(term) not in _CLASSES:
+        _refuse(term)
     got = _LSTAS.get((c, n), _UNSET).get(env, _UNSET).get(term, _UNSET)
     if got is not _UNSET:
         return got
@@ -80,10 +84,8 @@ def _lstas(c: int, env: Env, term: Term, n: int) -> Optional[Term]:
                 inner = _lstas(c, rest, side, n if kind == BindKind.ABBR else n - 1)
                 if inner is not None:
                     got = lift(0, i + 1, inner)
-    elif cls is Sort:
+    else:  # a sort
         got = Sort(term[1] + n * c)
-    else:
-        raise TypeError(f"not a term: {term!r}")
     _LSTAS.setdefault((c, n), {}).setdefault(env, {})[term] = got
     return got
 
@@ -95,6 +97,8 @@ def da(params: Params, env: Env, term: Term) -> Optional[int]:
 
 
 def _da(ext: tuple[int, int], env: Env, term: Term) -> Optional[int]:
+    if type(term) not in _CLASSES:
+        _refuse(term)
     got = _DA.get(ext, _UNSET).get(env, _UNSET).get(term, _UNSET)
     if got is not _UNSET:
         return got
@@ -112,11 +116,9 @@ def _da(ext: tuple[int, int], env: Env, term: Term) -> Optional[int]:
             got = _da(ext, env[i + 1 :], side)
             if got is not None and kind != BindKind.ABBR:
                 got += 1
-    elif cls is Sort:
+    else:  # a sort
         c, big_d = ext
         got = max(big_d - term[1] // c, 0)
-    else:
-        raise TypeError(f"not a term: {term!r}")
     _DA.setdefault(ext, {}).setdefault(env, {})[term] = got
     return got
 

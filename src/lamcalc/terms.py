@@ -138,6 +138,8 @@ class Bind(Term):
     body = property(itemgetter(3))
 
     def __new__(cls, kind: BindKind, side: Term, body: Term) -> Bind:
+        if type(side) not in _CLASSES or type(body) not in _CLASSES:
+            _refuse(side, body)
         return tuple.__new__(cls, (2, kind, side, body))
 
 
@@ -155,7 +157,24 @@ class Flat(Term):
     body = property(itemgetter(3))
 
     def __new__(cls, kind: FlatKind, side: Term, body: Term) -> Flat:
+        if type(side) not in _CLASSES or type(body) not in _CLASSES:
+            _refuse(side, body)
         return tuple.__new__(cls, (3, kind, side, body))
+
+
+# The four term classes.  A memoized judgment tests its term arguments
+# against these before it looks in its table, and a binder or a flat item
+# refuses parts of any other class: a tuple equal to a term hashes and
+# compares like it, so only the class tells them apart.
+_CLASSES = frozenset((Sort, Var, Bind, Flat))
+
+
+def _refuse(*parts: object) -> None:
+    """Raise ``TypeError`` on the first of ``parts`` that is not a term."""
+
+    for part in parts:
+        if type(part) not in _CLASSES:
+            raise TypeError(f"not a term: {part!r}")
 
 
 def abbr(v: Term, t: Term) -> Bind:

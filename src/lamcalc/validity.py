@@ -62,6 +62,24 @@ class ValidityReport:
             raise ValueError("a valid report carries no failure")
 
 
+_VALID = ValidityReport(True)  # the one report of every valid term
+
+
+def _covers(params: Params, env: Env, term: Term, n: int) -> bool:
+    """Does the degree of ``term`` cover ``n`` static-type steps?"""
+
+    d = da(params, env, term)
+    return d is not None and n <= d
+
+
+def _type_nf(params: Params, env: Env, term: Term, n: int) -> Term:
+    """The normal form of the ``n``-th static type of ``term``.  Callers
+    test every ``_covers`` first: a static type without a normal form must
+    not turn a ``False`` into ``FuelExhausted``."""
+
+    return normalize(env, lstas(params, env, term, n), params.fuel)
+
+
 def scpds_check(params: Params, env: Env, t1: Term, t2: Term, n: int) -> bool:
     """Does ``t1`` reach ``t2`` by ``n`` static-type steps then computation?
 
@@ -71,8 +89,7 @@ def scpds_check(params: Params, env: Env, t1: Term, t2: Term, n: int) -> bool:
     bounded direct search.
     """
 
-    d = da(params, env, t1)
-    if d is None or n > d:
+    if not _covers(params, env, t1, n):
         return False
     x = lstas(params, env, t1, n)
     if aaa(env, x) is not None and aaa(env, t2) is not None:
@@ -80,19 +97,15 @@ def scpds_check(params: Params, env: Env, t1: Term, t2: Term, n: int) -> bool:
     return cprs_holds(env, x, t2, params.budget)
 
 
-def scpes_check(
-    params: Params, env: Env, t1: Term, n1: int, t2: Term, n2: int
-) -> bool:
+def scpes_check(params: Params, env: Env, t1: Term, n1: int, t2: Term, n2: int) -> bool:
     """Do ``n1`` static-type steps on ``t1`` and ``n2`` on ``t2`` land on
     convertible terms?  Both degrees must cover the requested steps."""
 
-    d1 = da(params, env, t1)
-    d2 = da(params, env, t2)
-    if d1 is None or n1 > d1 or d2 is None or n2 > d2:
-        return False
-    x1 = lstas(params, env, t1, n1)
-    x2 = lstas(params, env, t2, n2)
-    return normalize(env, x1, params.fuel) == normalize(env, x2, params.fuel)
+    return (
+        _covers(params, env, t1, n1)
+        and _covers(params, env, t2, n2)
+        and _type_nf(params, env, t1, n1) == _type_nf(params, env, t2, n2)
+    )
 
 
 def _invalid(pos: str, rule: str, reason: str) -> ValidityReport:
@@ -152,35 +165,30 @@ def _snv(params: Params, env: Env, term: Term, pos: str, known: int) -> Validity
         if not got.valid:
             return got
         if kind == FlatKind.CAST:
-            if da(params, env, body) < 1:
+            if not _covers(params, env, body, 1):
                 return _invalid(pos, "cast", "body degree must be at least 1")
-            n0 = normalize(env, lstas(params, env, side, 0), params.fuel)
-            n1 = normalize(env, lstas(params, env, body, 1), params.fuel)
+            n0 = _type_nf(params, env, side, 0)
+            n1 = _type_nf(params, env, body, 1)
             if n0 != n1:
-                return _invalid(
-                    pos,
-                    "cast",
-                    f"annotation {print_term(n0)} differs from inferred "
-                    f"{print_term(n1)}",
-                )
-            return ValidityReport(True)
-        if da(params, env, side) < 1:  # an application
+                why = f"annotation {print_term(n0)} differs from inferred"
+                return _invalid(pos, "cast", f"{why} {print_term(n1)}")
+            return _VALID
+        if not _covers(params, env, side, 1):  # an application
             return _invalid(pos, "appl", "argument degree must be at least 1")
-        w0 = normalize(env, lstas(params, env, side, 1), params.fuel)
+        w0 = _type_nf(params, env, side, 1)
         for n in range(da(params, env, body) + 1):
-            nf = normalize(env, lstas(params, env, body, n), params.fuel)
+            nf = _type_nf(params, env, body, n)
             if type(nf) is Bind and nf[1] == BindKind.ABST and nf[2] == w0:
-                return ValidityReport(True)
-        return _invalid(
-            pos, "appl", f"no iterated type abstracts over {print_term(w0)}"
-        )
+                return _VALID
+        why = f"no iterated type abstracts over {print_term(w0)}"
+        return _invalid(pos, "appl", why)
     if cls is Var:
         _, i = term
         if i < known:
-            return ValidityReport(True)
+            return _VALID
         return _snv(params, env[i + 1 :], env[i][1], _at(pos, "entry"), 0)
     if cls is Sort:
-        return ValidityReport(True)
+        return _VALID
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -273,11 +281,11 @@ def shnv_check(params: Params, env: Env, u: Term, t: Term, d: int) -> bool:
     for every ``n`` up to ``d``, the annotation after ``n`` static-type
     steps is convertible with the body after ``n + 1``."""
 
-    if not snv_check(params, env, u).valid:
-        return False
-    if not snv_check(params, env, t).valid:
-        return False
-    return all(scpes_check(params, env, u, n, t, n + 1) for n in range(d + 1))
+    return (
+        snv_check(params, env, u).valid
+        and snv_check(params, env, t).valid
+        and all(scpes_check(params, env, u, n, t, n + 1) for n in range(d + 1))
+    )
 
 
 def lsubsv_holds(params: Params, env1: Env, env2: Env) -> bool:
@@ -297,6 +305,10 @@ def lsubsv_holds(params: Params, env1: Env, env2: Env) -> bool:
         return snv_check(params, l2, w).valid
 
     return lsub_walk(env1, env2, cast_ok)
+
+
+# The report's four flags: each holds when its check found no failure.
+_FLAGS = ("degree_preserved", "validity_preserved", "types_valid", "types_commute")
 
 
 @dataclass(frozen=True)
@@ -319,12 +331,7 @@ class PreservationReport:
 
     @property
     def all_pass(self) -> bool:
-        return (
-            self.degree_preserved
-            and self.validity_preserved
-            and self.types_valid
-            and self.types_commute
-        )
+        return all(getattr(self, f) for f in _FLAGS)
 
 
 def preservation_report(params: Params, env: Env, term: Term) -> PreservationReport:
@@ -336,7 +343,6 @@ def preservation_report(params: Params, env: Env, term: Term) -> PreservationRep
     fuel on a commutation instance is recorded as that instance's failure.
     """
 
-    failures: list[str] = []
     if not snv_check(params, env, term).valid:
         return PreservationReport(
             False, False, False, False, ("the closure itself is not valid",)
@@ -345,49 +351,39 @@ def preservation_report(params: Params, env: Env, term: Term) -> PreservationRep
     t2s = sorted(cpr_reducts(env, term, params.budget))
     l2s = sorted(lpr_reducts(env, params.budget), key=env_key)
     d = da(params, env, term)
+    failed: list[tuple[str, str]] = []  # each failure: the flag it clears, its line
 
-    degree_ok = True
-    validity_ok = True
     for t2 in t2s:
         for l2 in l2s:
             if da(params, l2, t2) != d:
-                degree_ok = False
-                failures.append(
-                    f"degree: {print_closure(l2, t2)} has degree "
-                    f"{da(params, l2, t2)}, expected {d}"
-                )
+                at = print_closure(l2, t2)
+                line = f"degree: {at} has degree {da(params, l2, t2)}, expected {d}"
+                failed.append(("degree_preserved", line))
             if not snv_check(params, l2, t2).valid:
-                validity_ok = False
-                failures.append(f"validity: {print_closure(l2, t2)} is not valid")
+                line = f"validity: {print_closure(l2, t2)} is not valid"
+                failed.append(("validity_preserved", line))
 
-    types_valid_ok = True
-    types_commute_ok = True
     for n in range(d + 1):
         u1 = lstas(params, env, term, n)
         if not snv_check(params, env, u1).valid:
-            types_valid_ok = False
-            failures.append(
-                f"static type: {print_term(u1)} at {n} steps is not valid"
-            )
+            line = f"static type: {print_term(u1)} at {n} steps is not valid"
+            failed.append(("types_valid", line))
         for t2 in t2s:
             for l2 in l2s:
                 try:
                     u2 = lstas(params, l2, t2, n)
                     if u2 is None or not conv(l2, u1, u2, params.fuel):
-                        types_commute_ok = False
-                        failures.append(
+                        line = (
                             f"commutation: at {n} steps, {print_closure(l2, t2)} "
                             f"yields {'nothing' if u2 is None else print_term(u2)}"
                             f", not convertible with {print_term(u1)}"
                         )
+                        failed.append(("types_commute", line))
                 except FuelExhausted as e:
-                    types_commute_ok = False
-                    failures.append(f"resources at {print_closure(l2, t2)}: {e}")
+                    line = f"resources at {print_closure(l2, t2)}: {e}"
+                    failed.append(("types_commute", line))
 
+    flags = {flag for flag, _ in failed}
     return PreservationReport(
-        degree_ok,
-        validity_ok,
-        types_valid_ok,
-        types_commute_ok,
-        tuple(failures),
+        **{f: f not in flags for f in _FLAGS}, failures=tuple(l for _, l in failed)
     )

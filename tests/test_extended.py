@@ -85,6 +85,19 @@ def test_cpx_sort_rule_tracks_params():
     wide = Params(c=2, big_d=3)
     assert Sort(2) in cpx_reducts(wide, (), Sort(0))
     assert cpx_reducts(wide, (), Sort(6)) == {Sort(6)}
+    # every hierarchy: the static type is the next sort, and the sort
+    # steps there exactly while its degree is positive
+    for c in range(1, 4):
+        for big_d in range(4):
+            params = Params(c=c, big_d=big_d)
+            for k in range(9):
+                up = Sort(k + c)
+                steps = da(params, (), Sort(k)) >= 1
+                assert lstas(params, (), Sort(k), 1) == up
+                assert cpx_reducts(params, (), Sort(k)) == {Sort(k)} | (
+                    {up} if steps else set()
+                )
+                assert cpx_holds(params, (), Sort(k), up) == steps
 
 
 def test_cpx_unfolds_declarations():

@@ -28,6 +28,7 @@ from lamcalc import (
     Sort,
     Var,
     aaa,
+    abbr,
     abst,
     appl,
     cast,
@@ -246,6 +247,7 @@ REFUSERS = {
     "normalize": lambda x: normalize((), x),
     "cpx_reducts": lambda x: cpx_reducts(P, (), x),
     "cpx_holds": lambda x: cpx_holds(P, (), x, Sort(0)),
+    "cpx_holds-target": lambda x: cpx_holds(P, (), Sort(0), x),
     "cnx_holds": lambda x: cnx_holds(P, (), x),
     "csx_certify": lambda x: csx_certify(P, (), x),
     "frees_holds": lambda x: frees_holds(0, 0, (), x),
@@ -264,9 +266,9 @@ REFUSERS = {
     "snv_check": lambda x: snv_check(P, (), x),
 }
 
-# The last one is a plain tuple shaped like ``Bind(ABBR, *0, *0)``: it is
-# equal to that term and hashes like it, so only dispatch on the class
-# refuses it.
+# The last one is a plain tuple shaped like ``TWIN``: it is equal to that
+# term and hashes like it, so only a test of the class refuses it.
+TWIN = Bind(BindKind.ABBR, Sort(0), Sort(0))
 NON_TERMS = {
     "str-tuple": ("x",),
     "int": 7,
@@ -278,12 +280,29 @@ NON_TERMS = {
 @pytest.mark.parametrize("entry", REFUSERS.values(), ids=REFUSERS)
 def test_non_terms_are_refused(entry, non_term):
     """Each entry point raises on a non-term from empty memo tables, and
-    again after that: a refusal is not remembered as an answer."""
+    again after that: a refusal is not remembered as an answer.  It raises
+    once more after ``TWIN`` has filled the tables: an answer is not given
+    to a tuple that only looks like the term it was stored for."""
 
     clear_caches()
     for _ in range(2):
         with pytest.raises(TypeError, match="not a term"):
             entry(non_term)
+    entry(TWIN)
+    with pytest.raises(TypeError, match="not a term"):
+        entry(non_term)
+
+
+@pytest.mark.parametrize("make", [abbr, abst, appl, cast])
+def test_a_non_term_cannot_hide_inside_a_term(make):
+    """A binder or a flat item refuses a side or a body of any class but
+    the four term classes, so every part of a term is a term."""
+
+    for non_term in NON_TERMS.values():
+        for parts in ((non_term, Sort(0)), (Sort(0), non_term)):
+            with pytest.raises(TypeError, match="not a term"):
+                make(*parts)
+    assert make(TWIN, TWIN)[2:] == (TWIN, TWIN)
 
 
 def test_a_look_alike_cast_is_no_refinement():

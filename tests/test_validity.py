@@ -3,13 +3,15 @@ from __future__ import annotations
 import pytest
 
 from lamcalc import (
-    Params, Sort, Var, aaa, abbr, parse_env, parse_term, term_size, validity,
+    FuelExhausted, Params, Sort, Var, aaa, abbr, parse_env, parse_term, term_size,
+    validity,
 )
 from lamcalc.bigtree import BigTreeReport, fsb_certify
-from lamcalc.reduction import conv, cpr_reducts
+from lamcalc.reduction import conv, cpr_reducts, lpr_reducts
+from lamcalc.sexpr import print_closure, print_term
 from lamcalc.statics import da, lstas, lsubd_holds
 from lamcalc.arity import lsuba_holds
-from lamcalc.universe import enumerate_closures, enumerate_envs
+from lamcalc.universe import enumerate_closures, enumerate_envs, env_key
 from lamcalc.validity import (
     PreservationReport,
     ValidityReport,
@@ -61,6 +63,18 @@ def test_scpes_examples():
     for env, t in enumerate_closures(3, 1, 1):
         if da(P, env, t) is not None and lstas(P, env, t, 0) is not None:
             assert scpes_check(P, env, t, 0, t, 0)
+
+
+def test_scpes_tests_both_degrees_before_normalizing():
+    """OMEGA's static type has no normal form: a degree that does not cover
+    the other side's steps answers ``False`` before it is normalized."""
+
+    omega = parse_term("(appl (abst *0 (appl #0 #0)) (abst *0 (appl #0 #0)))")
+    short = Params(fuel=20)
+    assert not scpes_check(short, (), omega, 0, Sort(0), 5)
+    assert not scpes_check(short, (), Sort(0), 5, omega, 0)
+    with pytest.raises(FuelExhausted):
+        scpes_check(short, (), omega, 0, Sort(0), 0)
 
 
 def test_snv_sorts_are_valid():
@@ -218,3 +232,76 @@ def test_preservation_across_the_small_universe():
     for env, t in enumerate_closures(3, 1, 1):
         if snv_check(P, env, t).valid:
             assert preservation_report(P, env, t).all_pass
+
+
+# A valid closure whose one proper term reduct (the beta reduct) is neither
+# a subterm nor a static type of anything the validity walk checks, under
+# an environment with two reducts: a check faked on that reduct alone fails
+# only its own flag.
+PRES_ENV = parse_env("[def (cast *2 *1)]")
+PRES_TERM = GOOD_APPL
+BETA = parse_term("(abbr (cast *1 *0) #0)")
+
+
+def _lines(case: str, params: Params) -> list[str]:
+    """Today's failure lines for the faked ``case``, in today's order:
+    reducts and environment reducts sorted, static types by step count."""
+
+    t2s = sorted(cpr_reducts(PRES_ENV, PRES_TERM))
+    l2s = sorted(lpr_reducts(PRES_ENV), key=env_key)
+    d = da(params, PRES_ENV, PRES_TERM)
+    pairs = [(t2, l2) for t2 in t2s for l2 in l2s]
+    types = [lstas(params, PRES_ENV, PRES_TERM, n) for n in range(d + 1)]
+    if case == "degree":
+        return [f"degree: {print_closure(l2, t2)} has degree {d + 1}, expected {d}"
+                for t2, l2 in pairs if t2 == BETA]
+    if case == "validity":
+        return [f"validity: {print_closure(l2, t2)} is not valid"
+                for t2, l2 in pairs if t2 == BETA]
+    if case == "static-type":
+        return [f"static type: {print_term(u1)} at {n} steps is not valid"
+                for n, u1 in enumerate(types) if n > 0]
+    if case in ("conv", "lstas"):
+        def u2(t2, l2, n):
+            return "nothing" if case == "lstas" else print_term(lstas(params, l2, t2, n))
+
+        return [f"commutation: at {n} steps, {print_closure(l2, t2)} yields "
+                f"{u2(t2, l2, n)}, not convertible with {print_term(u1)}"
+                for n, u1 in enumerate(types) for t2, l2 in pairs
+                if case == "conv" or t2 == BETA]
+    return [f"resources at {print_closure(l2, t2)}: no normal form within 0 rounds"
+            for _ in types for t2, l2 in pairs]
+
+
+PRES_FLAGS = ("degree_preserved", "validity_preserved", "types_valid", "types_commute")
+# Each case fakes one check, by ``validity``'s own name for what it calls,
+# or starves normalization of fuel; the last item is the flag it clears.
+PRES_FAULTS = {
+    "degree": ("da", lambda real: lambda p, e, t: real(p, e, t) + (t == BETA),
+               "degree_preserved"),
+    "validity": ("snv_check", lambda real: lambda p, e, t: (
+        ValidityReport(False, ("", "appl", "faked")) if t == BETA else real(p, e, t)
+    ), "validity_preserved"),
+    "static-type": ("snv_check", lambda real: lambda p, e, t: (
+        ValidityReport(False, ("", "appl", "faked"))
+        if t in {lstas(p, e, PRES_TERM, n) for n in (1, 2)} else real(p, e, t)
+    ), "types_valid"),
+    "conv": ("conv", lambda real: lambda *_: False, "types_commute"),
+    "lstas": ("lstas", lambda real: lambda p, e, t, n: (
+        None if t == BETA else real(p, e, t, n)
+    ), "types_commute"),
+    "resources": (None, None, "types_commute"),
+}
+
+
+@pytest.mark.parametrize("case", PRES_FAULTS, ids=PRES_FAULTS)
+def test_preservation_flags_fail_one_at_a_time(monkeypatch, case):
+    name, fake, flag = PRES_FAULTS[case]
+    params = Params(fuel=0) if case == "resources" else P
+    want = _lines(case, params)  # before the fake is in place
+    if name is not None:
+        monkeypatch.setattr(validity, name, fake(getattr(validity, name)))
+    got = preservation_report(params, PRES_ENV, PRES_TERM)
+    assert {f for f in PRES_FLAGS if not getattr(got, f)} == {flag}
+    assert not got.all_pass
+    assert len(want) >= 2 and list(got.failures) == want
