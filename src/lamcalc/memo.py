@@ -20,7 +20,19 @@ so it honours ``fuel`` however warm the table is.  ``env_reducts`` has
 one although each entry's reduct set is in ``_ONE_STEP``: their
 entrywise product is work that no other table holds, and the closure
 certifier asks for the same environment's product at every closure over
-it.  The 11 tables are listed in :data:`TABLES`.
+it.  The 12 tables are listed in :data:`TABLES`.
+
+The twelfth, ``terms._INTERN``, memoizes the term constructors: it holds
+the one object of each term value built since it was last emptied, so
+every other table, reduct set and certificate holds one object per
+distinct term, and a hit on an equal term compares by identity.  It keys
+a binder or a flat item by its code and the ``id`` of its two parts, not
+by the parts: looking up a key of ints costs the same at any depth,
+where hashing a term walks all of it.  An id is safe as a key because
+the term stored under it holds its parts alive.  Emptying it with the
+others keeps memory bounded and changes no answer: hashing, equality and
+order stay the tuple's, so a term kept across ``clear_caches()`` still
+equals, hashes like and finds the entries of its rebuilt twin.
 
 A table is nested one dict level per argument, the few-valued arguments
 (a sort hierarchy, a level) first, then the environment, then the term,
@@ -30,14 +42,16 @@ equal keys, so each environment and term is held once per level however
 many entries share it, where a key tuple per entry would hold its own
 copy.  Terms are tuples the cyclic garbage collector always tracks, and
 so is every tuple that holds one: a million key tuples and the copies
-they pin made each full collection re-scan a million objects.  Lookups
-chain ``.get`` calls whose default, ``reduction._UNSET``, is an empty
-mapping that also marks a miss where ``None`` is a result.
+they pin made each full collection re-scan a million objects.  The
+intern table's keys hold plain ints only, never an enum member, so the
+collector untracks them.  Lookups chain ``.get`` calls whose default,
+``reduction._UNSET``, is an empty mapping that also marks a miss where
+``None`` is a result.
 """
 
 from __future__ import annotations
 
-from . import arity, bigtree, extended, reduction, statics
+from . import arity, bigtree, extended, reduction, statics, terms
 
 __all__ = ["clear_caches"]
 
@@ -54,6 +68,7 @@ TABLES = (
     extended._FREES,
     bigtree._SN,
     bigtree._SUCCESSORS,
+    terms._INTERN,
 )
 
 

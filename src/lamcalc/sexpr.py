@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from itertools import islice
 
+from . import terms
 from .terms import Bind, BindKind, Env, Flat, FlatKind, Sort, Term, Var
 
 __all__ = [
@@ -49,12 +50,19 @@ _ITEM_WORDS = {
     for ctor in (Bind, Flat)
 }
 _ENTRY_WORD = {kind: word for word, kind in _ENTRY_KIND.items()}
-# Parsing builds an item straight from its tuple: its constructor, its tag,
-# read off an instance so that terms.py alone states the tags, and its kind.
-_ITEM_HEADS = {
-    word: (ctor, ctor(kind, Sort(0), Sort(0))[0], kind)
-    for word, (ctor, kind) in _ITEM_KIND.items()
-}
+
+
+def _head(ctor: type, kind: int) -> tuple:
+    """An item's constructor, intern code, tag and kind.  The tag is
+    ``code >> 1``, so that terms.py alone states the tags."""
+
+    code = (terms._BIND_KINDS if ctor is Bind else terms._FLAT_KINDS)[kind][0]
+    return ctor, code, code >> 1, kind
+
+
+# Parsing interns an item as its constructor does, from its head, without
+# testing the classes of the parts it has just built.
+_ITEM_HEADS = {word: _head(*item) for word, item in _ITEM_KIND.items()}
 _ATOMS = {"*": Sort, "#": Var}
 # One token per bracket, semicolon or atom, and per run of other
 # characters that are not whitespace.  ``\s`` matches exactly what
@@ -120,14 +128,15 @@ def _term(text: str, toks: list[str], i: int,
           atoms: dict[str, Term]) -> tuple[Term, int]:
     """The term whose first token is ``toks[i]``, and the index after it.
 
-    ``stack`` holds each open item's head (its constructor, tag and kind,
-    a plain tuple), followed by its side once the item reads its body.
+    ``stack`` holds each open item's head (a plain tuple, see
+    ``_ITEM_HEADS``), followed by its side once the item reads its body.
     ``atoms`` shares each atom among its occurrences in one parse.
     """
 
     stack: list = []
     depth = 0
     new = tuple.__new__
+    intern = terms._INTERN
     while True:
         tok = toks[i]
         i += 1
@@ -153,8 +162,12 @@ def _term(text: str, toks: list[str], i: int,
             i += 1
             depth -= 1
             side = stack.pop()
-            ctor, tag, kind = stack.pop()
-            term = new(ctor, (tag, kind, side, term))
+            ctor, code, tag, kind = stack.pop()
+            key = (code, id(side), id(term))
+            item = intern.get(key)
+            if item is None:
+                item = intern[key] = new(ctor, (tag, kind, side, term))
+            term = item
         else:
             return term, i
 

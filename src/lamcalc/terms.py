@@ -11,7 +11,10 @@ variable references) and four binary constructors, grouped into two shapes:
 Each term is an immutable tagged tuple, ``(tag, *fields)`` with tags 0-3
 for ``Sort``, ``Var``, ``Bind`` and ``Flat``; see :class:`Term`.  A term is
 therefore hashed, compared and ordered by the tuple machinery, and it is
-its own sort key.
+its own sort key.  The constructors hash-cons: each returns the one
+object of its value that the intern table holds, so equal terms built
+since the memo tables were last emptied are one object (Filliâtre and
+Conchon, "Type-Safe Modular Hash-Consing", ML Workshop 2006).
 
 Environments are stacks of named-free entries, one per binder that has been
 walked under.  Entry 0 is the innermost one, i.e. the entry that ``#0``
@@ -80,6 +83,19 @@ class Term(tuple):
     Fields are read-only properties named by ``__match_args__``, so class
     patterns match positionally and by keyword.
 
+    Each constructor returns the canonical object of its value, the one
+    in the intern table ``_INTERN``, and builds and stores it on a miss.
+    A binder or a flat item is looked up by its kind and the ids of its
+    parts, so a lookup costs the same at any depth, and its parts are
+    tested to be terms only on a miss.  Its kind is stored as the enum
+    member, also when passed as a plain int, so no term depends on which
+    of two equal terms was built first.  So a memo table, a reduct set or
+    a certificate holds one object per distinct term, and comparing two
+    equal terms stops at their first shared part.  The intern table is a
+    memo table: ``clear_caches()`` empties it.  A term kept across that
+    still equals and hashes like its twin rebuilt after it, but is another
+    object, and so is any term built on its parts.
+
     The kernel dispatches on ``type(t)`` and unpacks the tuple; class
     patterns are for callers and the independent oracles.  In Python 3.11
     a call that matches one ``abst`` term against the four classes costs
@@ -91,9 +107,10 @@ class Term(tuple):
 
     __slots__ = ()
 
-    def __getnewargs__(self) -> tuple:
-        # copy and pickle rebuild a term from its fields, not its tuple
-        return tuple(self[1:])
+    def __reduce__(self) -> tuple:
+        # copy and pickle, at every protocol, rebuild a term through its
+        # constructor, which returns the canonical object
+        return type(self), tuple(self[1:])
 
     def __repr__(self) -> str:
         fields = ", ".join(
@@ -110,7 +127,11 @@ class Sort(Term):
     k = property(itemgetter(1))
 
     def __new__(cls, k: int) -> Sort:
-        return tuple.__new__(cls, (0, k))
+        key = (0, k)
+        term = _INTERN.get(key)
+        if term is None:
+            term = _INTERN[key] = tuple.__new__(cls, key)
+        return term
 
 
 class Var(Term):
@@ -121,7 +142,11 @@ class Var(Term):
     i = property(itemgetter(1))
 
     def __new__(cls, i: int) -> Var:
-        return tuple.__new__(cls, (1, i))
+        key = (1, i)
+        term = _INTERN.get(key)
+        if term is None:
+            term = _INTERN[key] = tuple.__new__(cls, key)
+        return term
 
 
 class Bind(Term):
@@ -138,9 +163,14 @@ class Bind(Term):
     body = property(itemgetter(3))
 
     def __new__(cls, kind: BindKind, side: Term, body: Term) -> Bind:
-        if type(side) not in _CLASSES or type(body) not in _CLASSES:
-            _refuse(side, body)
-        return tuple.__new__(cls, (2, kind, side, body))
+        code, kind = _BIND_KINDS[kind]
+        key = (code, id(side), id(body))
+        term = _INTERN.get(key)
+        if term is None:
+            if type(side) not in _CLASSES or type(body) not in _CLASSES:
+                _refuse(side, body)
+            term = _INTERN[key] = tuple.__new__(cls, (2, kind, side, body))
+        return term
 
 
 class Flat(Term):
@@ -157,10 +187,28 @@ class Flat(Term):
     body = property(itemgetter(3))
 
     def __new__(cls, kind: FlatKind, side: Term, body: Term) -> Flat:
-        if type(side) not in _CLASSES or type(body) not in _CLASSES:
-            _refuse(side, body)
-        return tuple.__new__(cls, (3, kind, side, body))
+        code, kind = _FLAT_KINDS[kind]
+        key = (code, id(side), id(body))
+        term = _INTERN.get(key)
+        if term is None:
+            if type(side) not in _CLASSES or type(body) not in _CLASSES:
+                _refuse(side, body)
+            term = _INTERN[key] = tuple.__new__(cls, (3, kind, side, body))
+        return term
 
+
+# The intern table: the one term of each value built since it was last
+# emptied (see Term).  An atom is keyed by its own value, ``(tag, k)``; a
+# binder or a flat item by its code and the ids of its two parts, which
+# stay valid because the term stored under the key holds those parts.
+_INTERN: dict[tuple[int, ...], Term] = {}
+
+# Indexed by a kind's value, the binary constructors' kinds: each gives
+# the code that keys it in the intern table, ``2 * tag + kind`` (a plain
+# int, as every key holds, so that the collector untracks the key tuples),
+# and its enum member, which the term stores whatever was passed.
+_BIND_KINDS = ((4, BindKind.ABBR), (5, BindKind.ABST))
+_FLAT_KINDS = ((6, FlatKind.APPL), (7, FlatKind.CAST))
 
 # The four term classes.  A memoized judgment tests its term arguments
 # against these before it looks in its table, and a binder or a flat item

@@ -1,4 +1,5 @@
-"""Terms as tagged tuples: order, equality, hashing and representation.
+"""Terms as tagged tuples: order, equality, hashing, representation and
+the one shared object per term value.
 
 The order checks compare against an independent oracle: the recursive
 key that built the term order by hand before terms became tuples.
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import gc
 import json
 import pickle
 import random
@@ -15,9 +17,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 import lamcalc
+from genterms import terms as gen_terms
 from lamcalc import (
     Bind,
     BindKind,
@@ -59,7 +64,7 @@ from lamcalc import (
     term_size,
     tsts,
 )
-from lamcalc.terms import closure_measure
+from lamcalc.terms import _INTERN, closure_measure
 from lamcalc.universe import (
     closure_key,
     enumerate_closures,
@@ -142,7 +147,7 @@ def test_binders_differ_from_flat_items(value):
 )
 def test_equal_terms_built_twice_hash_equal(text):
     t1, t2 = parse_term(text), parse_term(text)
-    assert t1 is not t2
+    assert t1 is t2
     assert t1 == t2 and hash(t1) == hash(t2)
     rebuilt = type(t1)(*t1[1:])
     assert rebuilt == t1 and hash(rebuilt) == hash(t1)
@@ -150,9 +155,112 @@ def test_equal_terms_built_twice_hash_equal(text):
 
 def test_copy_and_pickle_rebuild_the_same_term():
     t = parse_term("(abbr (cast *0 #1) (appl #0 (abst *1 #0)))")
-    for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
-        assert clone == t and type(clone) is type(t)
+    pickled = [
+        pickle.loads(pickle.dumps(t, protocol=p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for clone in (copy.copy(t), copy.deepcopy(t), *pickled):
+        assert clone is t
         assert clone.body.body.body == Var(0)
+
+
+# ------------------------------------------------------------ canonicity
+
+
+def rebuild(t):
+    """``t`` built anew through the constructors, from its atoms up, each
+    kind passed as a plain int."""
+
+    cls = type(t)
+    if cls is Bind or cls is Flat:
+        return cls(int(t.kind), rebuild(t.side), rebuild(t.body))
+    return cls(t[1])
+
+
+@given(gen_terms(), st.integers(0, 2), st.integers(0, 2), st.integers(0, 10**6))
+def test_equal_terms_are_one_object(drawn, l, m, j):
+    """Within one cache generation the constructors, the parser, the
+    relocations, the reduct sets and the enumeration all give the one
+    object of each term value.  A term kept across ``clear_caches()`` is
+    no longer that object, yet still equals and hashes like it."""
+
+    clear_caches()
+    t = rebuild(drawn)
+    assert t == drawn and rebuild(t) is t
+    assert parse_term(print_term(t)) is t
+    up = lift(l, m, t)
+    assert rebuild(up) is up and lift(l, m, t) is up
+    assert delift(l, m, up) is t
+    for r in cpr_reducts((), t):
+        assert rebuild(r) is r
+    every = enumerate_terms(3, 3, 5)
+    u = every[j % len(every)]
+    assert rebuild(u) is u and parse_term(print_term(u)) is u
+    assert {e: e for e in every}.get(t, t) is t
+    clear_caches()
+    twin = rebuild(t)
+    assert twin == t and hash(twin) == hash(t) and twin is not t
+    assert parse_term(print_term(t)) is twin
+
+
+@pytest.mark.parametrize("member_first", [False, True])
+@pytest.mark.parametrize("member", [*BindKind, *FlatKind])
+def test_a_term_does_not_depend_on_which_twin_came_first(member, member_first):
+    """A kind passed as a plain int and one passed as its enum member give
+    the same term, which stores the member, whichever was built first."""
+
+    ctor = Bind if isinstance(member, BindKind) else Flat
+    kinds = [member, int(member)] if member_first else [int(member), member]
+    clear_caches()
+    built = [ctor(kind, Sort(0), Var(0)) for kind in kinds]
+    assert built[0] is built[1]
+    assert type(built[0].kind) is type(member) and built[0].kind is member
+    assert repr(built[0]) == f"{ctor.__name__}(kind={member!r}, side=Sort(k=0), body=Var(i=0))"
+
+
+def test_intern_keys_are_plain_ints_the_collector_untracks():
+    """Every key of the intern table is a tuple of plain ints, so the
+    cyclic collector stops tracking it (see ``lamcalc.memo``)."""
+
+    clear_caches()
+    enumerate_terms(3, 1, 2)
+    rebuild(parse_term("(cast (abbr *0 #0) (appl #1 (abst *1 #0)))"))
+    gc.collect()
+    keys = list(_INTERN)
+    assert len(keys) > 50
+    assert all(type(key) is tuple and {type(x) for x in key} == {int} for key in keys)
+    assert not any(gc.is_tracked(key) for key in keys)
+
+
+def test_the_intern_table_is_a_memo_table_empty_after_import():
+    """Straight after every submodule is imported the intern table is
+    empty, so the benchmark's ``MemoTables`` (``perfbench/coldstart.py``,
+    read here without writing bytecode) finds it and empties it between
+    rounds; it is listed in ``memo.TABLES`` and ``clear_caches`` empties
+    it."""
+
+    probe = """
+import importlib, json, pkgutil, sys
+sys.path.insert(0, sys.argv[1])
+import coldstart
+import lamcalc
+for m in pkgutil.iter_modules(lamcalc.__path__):
+    importlib.import_module("lamcalc." + m.name)
+from lamcalc import memo, terms
+empty = len(terms._INTERN)
+found = [mod + "." + attr for mod, attr, obj in coldstart.MemoTables().tables
+         if obj is terms._INTERN]
+listed = [table is terms._INTERN for table in memo.TABLES].count(True)
+lamcalc.parse_term("(abst *1 #0)")
+built = len(terms._INTERN)
+lamcalc.clear_caches()
+print(json.dumps([empty, found, listed, built, len(terms._INTERN)]))
+"""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", probe, str(perfbench)],
+        capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout) == [0, ["terms._INTERN"], 1, 3, 0]
 
 
 # -------------------------------------------------------------- structure
@@ -223,6 +331,23 @@ def chain(n):
     return t
 t = chain(10_000)
 print(json.dumps([sys.getrecursionlimit(), hash(t) == hash(chain(10_000)), t in {t}]))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert json.loads(done.stdout) == [1000, True, True]
+
+
+def test_deep_equal_terms_compare_at_the_default_recursion_limit():
+    """A text nested 10,000 deep, parsed twice in one cache generation,
+    gives one object, so comparing the two needs no recursion."""
+
+    probe = """
+import json, sys
+from lamcalc import parse_term
+text = "(appl *0 " * 9_999 + "(abst *1 #0)" + ")" * 9_999
+t1, t2 = parse_term(text), parse_term(text)
+print(json.dumps([sys.getrecursionlimit(), t1 == t2, t1 is t2]))
 """
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
