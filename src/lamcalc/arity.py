@@ -21,6 +21,8 @@ from .terms import (
     Term,
     Var,
     _CLASSES,
+    _REFS,
+    _refs,
     _refuse,
     env_push,
 )
@@ -57,6 +59,10 @@ def aaa(env: Env, term: Term) -> Optional[Arity]:
 
     if type(term) not in _CLASSES:
         _refuse(term)
+    if env:  # judged in () when it reads no entry (see lamcalc.memo)
+        refs = _REFS.get(term) or _refs(term)
+        if not refs or refs[0] >= len(env):
+            env = ()
     got = _AAA.get(env, _UNSET).get(term, _UNSET)
     if got is not _UNSET:
         return got

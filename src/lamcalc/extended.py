@@ -38,6 +38,8 @@ from .terms import (
     Term,
     Var,
     _CLASSES,
+    _REFS,
+    _refs,
     _refuse,
     env_push,
     term_size,
@@ -82,6 +84,10 @@ def _step_to(ext: tuple[int, int], env: Env, t1: Term, t2: Term) -> bool:
         return True
     if type(t1) not in _CLASSES or type(t2) not in _CLASSES:
         _refuse(t1, t2)
+    if env:  # judged in () when it reads no entry (see lamcalc.memo)
+        refs = _REFS.get(t1) or _refs(t1)
+        if not refs or refs[0] >= len(env):
+            env = ()
     got = _STEP.get(ext, _UNSET).get(env, _UNSET).get(t1, _UNSET).get(t2)
     if got is not None:
         return got
@@ -244,33 +250,22 @@ def _frees(l: int, env: Env, term: Term) -> tuple[int, ...]:
     in its own outer environment at level 0, shifted by ``j + 1``.  A
     tuple of ints rather than a bitmask, whose width would be the largest
     index, or a frozenset, which the garbage collector tracks for life.
+    In ``()`` these are the term's own, read from their per-term table.
     """
 
     if type(term) not in _CLASSES:
         _refuse(term)
+    own = _REFS.get(term) or _refs(term)
+    if not own or own[0] >= len(env):  # reads nothing of env: as in ()
+        return own
     got = _FREES.get(l, _UNSET).get(env, _UNSET).get(term)
     if got is None:
-        own: set[int] = set()
-        _own_frees(term, 0, own)
         out = set(own)
         for j in own:
             if l <= j < len(env):
                 out.update(j + 1 + k for k in _frees(0, env[j + 1 :], env[j][1]))
         got = _FREES.setdefault(l, {}).setdefault(env, {})[term] = tuple(sorted(out))
     return got
-
-
-def _own_frees(term: Term, depth: int, out: set[int]) -> None:
-    """Add the free references of ``term``, read under ``depth`` binders."""
-
-    cls = type(term)
-    if cls is Bind or cls is Flat:
-        _, _, side, body = term
-        _own_frees(side, depth, out)
-        _own_frees(body, depth + 1 if cls is Bind else depth, out)
-    elif cls is Var:
-        if term[1] >= depth:
-            out.add(term[1] - depth)
 
 
 def _natural(name: str, value: int) -> None:

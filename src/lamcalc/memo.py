@@ -20,7 +20,7 @@ so it honours ``fuel`` however warm the table is.  ``env_reducts`` has
 one although each entry's reduct set is in ``_ONE_STEP``: their
 entrywise product is work that no other table holds, and the closure
 certifier asks for the same environment's product at every closure over
-it.  The 12 tables are listed in :data:`TABLES`.
+it.  The 13 tables are listed in :data:`TABLES`.
 
 The twelfth, ``terms._INTERN``, memoizes the term constructors: it holds
 the one object of each term value built since it was last emptied, so
@@ -33,6 +33,22 @@ the term stored under it holds its parts alive.  Emptying it with the
 others keeps memory bounded and changes no answer: hashing, equality and
 order stay the tuple's, so a term kept across ``clear_caches()`` still
 equals, hashes like and finds the entries of its rebuilt twin.
+
+The thirteenth, ``terms._REFS``, holds each term's own free references,
+sorted, each entry built from its children's.  A judgment reads its
+environment only through ``i < len(env)`` tests on those references
+(de Bruijn, "Lambda calculus notation with nameless dummies", 1972).  So
+a term whose lowest free reference is at least ``len(env)``, or that has
+none, reads nothing of ``env``, and every judgment on it answers, raises
+and spends its budget as in ``()``.  Each judgment keyed by an
+environment (``one_step``, ``_develop``, ``_lstas``, ``_da``, ``aaa``,
+``_step_to`` and ``_frees``) keys such a term under ``()`` and computes
+a miss there, so the term is judged once for all the environments it
+does not read.  That costs one lookup in ``_REFS`` per call in a
+non-empty environment, written out at the top of each judgment: a helper
+function would cost a call on every hit as well.  ``_frees`` stores
+nothing under ``()``: there its answer is the term's own references,
+which ``_REFS`` holds.
 
 A table is nested one dict level per argument, the few-valued arguments
 (a sort hierarchy, a level) first, then the environment, then the term,
@@ -69,6 +85,7 @@ TABLES = (
     bigtree._SN,
     bigtree._SUCCESSORS,
     terms._INTERN,
+    terms._REFS,
 )
 
 

@@ -43,6 +43,8 @@ from .terms import (
     Term,
     Var,
     _CLASSES,
+    _REFS,
+    _refs,
     _refuse,
     env_push,
 )
@@ -99,6 +101,10 @@ def one_step(ext: Ext, env: Env, term: Term, budget: int) -> frozenset[Term]:
 
     if type(term) not in _CLASSES:
         _refuse(term)
+    if env:  # judged in () when it reads no entry (see lamcalc.memo)
+        refs = _REFS.get(term) or _refs(term)
+        if not refs or refs[0] >= len(env):
+            env = ()
     got = _ONE_STEP.get(ext, _UNSET).get(env, _UNSET).get(term)
     if got is None:
 
@@ -237,6 +243,10 @@ def _develop(env: Env, term: Term) -> tuple[Term]:
     # would cost a level of the recursion limit while it runs unspecialized.
     if type(term) not in _CLASSES:
         _refuse(term)
+    if env:  # judged in () when it reads no entry (see lamcalc.memo)
+        refs = _REFS.get(term) or _refs(term)
+        if not refs or refs[0] >= len(env):
+            env = ()
     got = _FULL.get(env, _UNSET).get(term)
     if got is None:
         for got in _contractions(None, env, term, _develop, 1):

@@ -27,6 +27,8 @@ from .terms import (
     Term,
     Var,
     _CLASSES,
+    _REFS,
+    _refs,
     _refuse,
     env_push,
 )
@@ -55,6 +57,10 @@ _DA: dict[tuple[int, int], dict[Env, dict[Term, Optional[int]]]] = {}
 def _lstas(c: int, env: Env, term: Term, n: int) -> Optional[Term]:
     if type(term) not in _CLASSES:
         _refuse(term)
+    if env:  # judged in () when it reads no entry (see lamcalc.memo)
+        refs = _REFS.get(term) or _refs(term)
+        if not refs or refs[0] >= len(env):
+            env = ()
     got = _LSTAS.get((c, n), _UNSET).get(env, _UNSET).get(term, _UNSET)
     if got is not _UNSET:
         return got
@@ -99,6 +105,10 @@ def da(params: Params, env: Env, term: Term) -> Optional[int]:
 def _da(ext: tuple[int, int], env: Env, term: Term) -> Optional[int]:
     if type(term) not in _CLASSES:
         _refuse(term)
+    if env:  # judged in () when it reads no entry (see lamcalc.memo)
+        refs = _REFS.get(term) or _refs(term)
+        if not refs or refs[0] >= len(env):
+            env = ()
     got = _DA.get(ext, _UNSET).get(env, _UNSET).get(term, _UNSET)
     if got is not _UNSET:
         return got

@@ -336,6 +336,52 @@ def term_size(t: Term) -> int:
     raise TypeError(f"not a term: {t!r}")
 
 
+# The free references of each term, sorted: the indices its references
+# reach past the binders around them.  A memo table keyed by the term.
+_REFS: dict[Term, tuple[int, ...]] = {}
+
+
+def _refs(term: Term) -> tuple[int, ...]:
+    """The free references of ``term``, sorted.
+
+    A judgment reads its environment only through these: when the lowest
+    is at least ``len(env)``, or there is none, the term reads nothing of
+    ``env``, and every judgment on it answers, raises and spends its
+    budget as in ``()``.  A miss fills in each missing part below the
+    term, children before parents, on an explicit stack, so it takes no
+    stack frame per level.
+    """
+
+    got = _REFS.get(term)
+    if got is not None:
+        return got
+    stack = [term]
+    while stack:
+        t = stack[-1]
+        cls = type(t)
+        if cls is Bind or cls is Flat:
+            _, _, side, body = t
+            outer, inner = _REFS.get(side), _REFS.get(body)
+            if outer is None or inner is None:
+                if outer is None:
+                    stack.append(side)
+                if inner is None:
+                    stack.append(body)
+                continue
+            if cls is Bind:  # the body's #0 is the binder's own entry
+                inner = [j - 1 for j in inner if j]
+            got = tuple(sorted(set(outer).union(inner))) if inner else outer
+        elif cls is Var:
+            got = (t[1],)
+        elif cls is Sort:
+            got = ()
+        else:
+            raise TypeError(f"not a term: {t!r}")
+        _REFS[t] = got
+        stack.pop()
+    return got
+
+
 def closure_measure(c: Closure) -> int:
     """Sum of the constructors of the term and of every entry side.
 

@@ -151,6 +151,50 @@ print(json.dumps([
     assert json.loads(done.stdout) == [1000, True, True, 301, "*", 2, True, True]
 
 
+def test_deep_terms_reduce_in_an_environment_at_the_default_recursion_limit():
+    """The chains above in the one-entry environment ``[def *0]``, ending
+    in ``#0``, which reads the entry, or in ``#1``, which lies past it and
+    so is judged as in ``()``: the same limits hold."""
+
+    probe = """
+import json, sys
+from lamcalc import Params, Sort, Var, aaa, abst, appl, cast, cpx_holds, da, lstas
+from lamcalc import parse_env, print_term
+from lamcalc.reduction import cpr_reducts, normalize
+P = Params()
+def chain(n, wrap, t):
+    for _ in range(n):
+        t = wrap(t)
+    return t
+def casts(n, base):
+    return chain(n, lambda t: cast(Sort(1), t), base)
+env = parse_env("[def *0]")
+out = [sys.getrecursionlimit()]
+for base in (Var(0), Var(1)):
+    ids = chain(150, lambda t: appl(t, abst(Sort(1), Var(0))), base)
+    lstas1 = lstas(P, env, casts(900, base), 1)
+    out += [
+        print_term(normalize(env, casts(450, base))),
+        print_term(normalize(env, ids)),
+        len(cpr_reducts(env, casts(300, base))),
+        str(aaa(env, casts(900, base))),
+        da(P, env, casts(900, base)),
+        lstas1 and print_term(lstas1),
+        cpx_holds(P, env, casts(900, base), Sort(0)),
+        cpx_holds(P, env, casts(900, base), base),
+    ]
+print(json.dumps(out))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert json.loads(done.stdout) == [
+        1000,
+        *["*0", "*0", 602, "*", 2, "*1", True, True],
+        *["#1", "#1", 301, "None", None, None, False, True],
+    ]
+
+
 def test_normalize():
     assert normalize((), Sort(0), 1) == Sort(0)
     assert normalize((), parse_term("(cast *0 *1)"), 10) == Sort(1)

@@ -26,7 +26,7 @@ from lamcalc import (
     parse_env,
     parse_term,
 )
-from lamcalc import bigtree, extended, memo
+from lamcalc import arity, bigtree, extended, memo, reduction, statics
 from lamcalc.bigtree import BigTreeReport, _fpb_holds, fsb_certify
 from lamcalc.extended import (
     Cycle,
@@ -34,6 +34,7 @@ from lamcalc.extended import (
     cpx_holds,
     cpx_reducts,
     csx_certify,
+    frees_indices,
     lleq_holds,
     lpx_reducts,
 )
@@ -283,6 +284,8 @@ QUERIES = {
     "cpr_full": lambda env, t, k: cpr_full(env, t),
     "normalize": lambda env, t, k: normalize(env, t, k // 4),
     "lleq_holds": lambda env, t, k: _lleq(env, t, k),
+    "cpx_holds": lambda env, t, k: _cpx(env, t, k),
+    "frees_indices": lambda env, t, k: frees_indices(k % 3, env, t, k % 5),
     "fsb_certify": lambda env, t, k: fsb_certify(Params(budget=k), env, t),
     "csx_certify": lambda env, t, k: csx_certify(Params(budget=k), env, t),
 }
@@ -291,6 +294,13 @@ QUERIES = {
 def _lleq(env, t, k):
     envs = sorted(lpx_reducts(P, env), key=env_key)
     return lleq_holds(k % 3, t, env, envs[k % len(envs)])
+
+
+def _cpx(env, t, k):
+    # a target one or two steps away, so that some answers are False
+    one = cpx_reducts(P, env, t)
+    two = sorted(one.union(*(cpx_reducts(P, env, r) for r in one)))
+    return cpx_holds(P, env, t, two[k % len(two)])
 
 
 def _answer(name, env, t, k):
@@ -360,7 +370,9 @@ def _tuple_keys(table):
 def test_memo_tables_hold_no_key_tuple_per_entry():
     """After a small sweep, every tuple key of every memo table, at every
     level, is a term, an environment, a closure or a tuple of ints: no
-    table keys an entry by a tuple of its arguments."""
+    table keys an entry by a tuple of its arguments.  And no judgment
+    keyed by an environment holds a term that reads nothing of its
+    environment under any environment but ``()``."""
 
     clear_caches()
     for name in SUITES:
@@ -382,3 +394,34 @@ def test_memo_tables_hold_no_key_tuple_per_entry():
         )
     ]
     assert bad == []
+
+    shared = [
+        (name, env, term)
+        for name, table, above in _BY_ENV
+        for env, terms in _env_levels(table, above)
+        if env
+        for term in terms
+        if all(i >= len(env) for i in frees_indices(0, (), term, 1 << 30))
+    ]
+    assert shared == []
+
+
+# The tables of the judgments keyed by an environment, each with the
+# number of dict levels above its environments.
+_BY_ENV = [
+    ("reduction._ONE_STEP", reduction._ONE_STEP, 1),
+    ("reduction._FULL", reduction._FULL, 0),
+    ("statics._LSTAS", statics._LSTAS, 1),
+    ("statics._DA", statics._DA, 1),
+    ("arity._AAA", arity._AAA, 0),
+    ("extended._STEP", extended._STEP, 1),
+    ("extended._FREES", extended._FREES, 1),
+]
+
+
+def _env_levels(table, above):
+    levels = [table]
+    for _ in range(above):
+        levels = [inner for level in levels for inner in level.values()]
+    for level in levels:
+        yield from level.items()
