@@ -8,21 +8,26 @@ them alive (a type cache keeping its classes after a re-import, say)
 keeps only that one.
 
 A memoized judgment is one function: it tests that each term argument is
-of a term class (a tuple equal to a term would find its entry), looks its
-arguments up in its table, and on a miss computes the answer, recursing
-into itself, stores it and returns it, so each level of a term costs one
-stack frame.  A
-table keyed by the sort hierarchy is looked up with the one
-``(c, big_d)`` value that its judgment is passed and passes on, so no
-call builds that key anew.  A judgment gets no table when another table
-already holds its work: ``normalize`` iterates the memoized development,
-so it honours ``fuel`` however warm the table is.  ``env_reducts`` has
-one although each entry's reduct set is in ``_ONE_STEP``: their
-entrywise product is work that no other table holds, and the closure
-certifier asks for the same environment's product at every closure over
-it.  The 13 tables are listed in :data:`TABLES`.
+of a term class (a tuple equal to a term would find its entry), looks
+its arguments up in its table, and on a miss computes the answer,
+recursing into itself, stores it and returns it, so each level of a term
+costs one stack frame.  A table keyed by the sort hierarchy is looked up
+with the one ``(c, big_d)`` value that its judgment is passed and passes
+on, so no call builds that key anew.  A judgment keeps a table only when
+its walk can reach one part or one environment entry more than once:
+``aaa``, ``one_step``, the development, ``_step_to`` and ``_frees``
+reach an entry once per reference to it, so without memory a chain of
+definitions costs them exponential time.  ``lstas`` and ``da`` follow
+one head chain, each step into one body or one entry, so they keep none.
+A judgment gets no table either when another table already holds its
+work: ``normalize`` iterates the memoized development, so it honours
+``fuel`` however warm the table is.  ``env_reducts`` has one although
+each entry's reduct set is in ``_ONE_STEP``: their entrywise product is
+work that no other table holds, and the closure certifier asks for the
+same environment's product at every closure over it.  The 11 tables are
+listed in :data:`TABLES`.
 
-The twelfth, ``terms._INTERN``, memoizes the term constructors: it holds
+The tenth, ``terms._INTERN``, memoizes the term constructors: it holds
 the one object of each term value built since it was last emptied, so
 every other table, reduct set and certificate holds one object per
 distinct term, and a hit on an equal term compares by identity.  It keys
@@ -34,21 +39,20 @@ others keeps memory bounded and changes no answer: hashing, equality and
 order stay the tuple's, so a term kept across ``clear_caches()`` still
 equals, hashes like and finds the entries of its rebuilt twin.
 
-The thirteenth, ``terms._REFS``, holds each term's own free references,
+The eleventh, ``terms._REFS``, holds each term's own free references,
 sorted, each entry built from its children's.  A judgment reads its
-environment only through ``i < len(env)`` tests on those references
-(de Bruijn, "Lambda calculus notation with nameless dummies", 1972).  So
-a term whose lowest free reference is at least ``len(env)``, or that has
+environment only through ``i < len(env)`` tests on those references (de
+Bruijn, "Lambda calculus notation with nameless dummies", 1972).  So a
+term whose lowest free reference is at least ``len(env)``, or that has
 none, reads nothing of ``env``, and every judgment on it answers, raises
 and spends its budget as in ``()``.  Each judgment keyed by an
-environment (``one_step``, ``_develop``, ``_lstas``, ``_da``, ``aaa``,
-``_step_to`` and ``_frees``) keys such a term under ``()`` and computes
-a miss there, so the term is judged once for all the environments it
-does not read.  That costs one lookup in ``_REFS`` per call in a
-non-empty environment, written out at the top of each judgment: a helper
-function would cost a call on every hit as well.  ``_frees`` stores
-nothing under ``()``: there its answer is the term's own references,
-which ``_REFS`` holds.
+environment (``one_step``, ``_develop``, ``aaa``, ``_step_to`` and
+``_frees``) keys such a term under ``()`` and computes a miss there, so
+the term is judged once for all the environments it does not read.  That
+costs one lookup in ``_REFS`` per call in a non-empty environment,
+written out at the top of each judgment: a helper function would cost a
+call on every hit as well.  ``_frees`` stores nothing under ``()``:
+there its answer is the term's own references, which ``_REFS`` holds.
 
 A table is nested one dict level per argument, the few-valued arguments
 (a sort hierarchy, a level) first, then the environment, then the term,
@@ -67,7 +71,7 @@ collector untracks them.  Lookups chain ``.get`` calls whose default,
 
 from __future__ import annotations
 
-from . import arity, bigtree, extended, reduction, statics, terms
+from . import arity, bigtree, extended, reduction, terms
 
 __all__ = ["clear_caches"]
 
@@ -76,8 +80,6 @@ TABLES = (
     reduction._ONE_STEP,
     reduction._FULL,
     reduction._ENV_REDUCTS,
-    statics._LSTAS,
-    statics._DA,
     arity._AAA,
     extended._STEP,
     extended._SN,

@@ -138,30 +138,36 @@ def snv_check(params: Params, env: Env, term: Term) -> ValidityReport:
     if aaa(env, term) is None:
         return _invalid("", "arity", "no exact applicability arity")
     try:
-        return _snv(params, env, term, "", 0)
+        return _snv(params, env, term, "", 0, set())
     except FuelExhausted as e:
         return _invalid("", "resources", f"normalization fuel exhausted: {e}")
 
 
-def _snv(params: Params, env: Env, term: Term, pos: str, known: int) -> ValidityReport:
+def _snv(
+    params: Params, env: Env, term: Term, pos: str, known: int, entries: set[int]
+) -> ValidityReport:
     """``snv_check`` on a term whose ``known`` innermost entries are
     binder sides this walk has found valid already.
 
-    A reference to one of them is valid at once, so each entry of a chain
-    of definitions is walked once.  Failures stay where they were: the walk
-    returns on an invalid side before it pushes it.
+    A reference to one of them is valid at once.  Every other entry it
+    reaches lies in the environment ``snv_check`` was given, so the length
+    of the environment below it names it, and ``entries`` holds those
+    lengths of the entries found valid so far: each entry of a chain of
+    definitions is walked once.  Failures stay where they were: the walk
+    returns on an invalid side before it pushes it, and ``entries`` holds
+    successes only.
     """
 
     cls = type(term)
     if cls is Bind or cls is Flat:
         _, kind, side, body = term
-        got = _snv(params, env, side, _at(pos, "side"), known)
+        got = _snv(params, env, side, _at(pos, "side"), known, entries)
         if not got.valid:
             return got
         if cls is Bind:
             return _snv(params, env_push(env, kind, side), body, _at(pos, "body"),
-                        known + 1)
-        got = _snv(params, env, body, _at(pos, "body"), known)
+                        known + 1, entries)
+        got = _snv(params, env, body, _at(pos, "body"), known, entries)
         if not got.valid:
             return got
         if kind == FlatKind.CAST:
@@ -184,9 +190,13 @@ def _snv(params: Params, env: Env, term: Term, pos: str, known: int) -> Validity
         return _invalid(pos, "appl", why)
     if cls is Var:
         _, i = term
-        if i < known:
+        below = len(env) - i - 1
+        if i < known or below in entries:
             return _VALID
-        return _snv(params, env[i + 1 :], env[i][1], _at(pos, "entry"), 0)
+        got = _snv(params, env[i + 1 :], env[i][1], _at(pos, "entry"), 0, entries)
+        if got.valid:
+            entries.add(below)
+        return got
     if cls is Sort:
         return _VALID
     raise TypeError(f"not a term: {term!r}")

@@ -26,7 +26,7 @@ from lamcalc import (
     parse_env,
     parse_term,
 )
-from lamcalc import arity, bigtree, extended, memo, reduction, statics
+from lamcalc import arity, bigtree, extended, memo, reduction
 from lamcalc.bigtree import BigTreeReport, _fpb_holds, fsb_certify
 from lamcalc.extended import (
     Cycle,
@@ -411,8 +411,6 @@ def test_memo_tables_hold_no_key_tuple_per_entry():
 _BY_ENV = [
     ("reduction._ONE_STEP", reduction._ONE_STEP, 1),
     ("reduction._FULL", reduction._FULL, 0),
-    ("statics._LSTAS", statics._LSTAS, 1),
-    ("statics._DA", statics._DA, 1),
     ("arity._AAA", arity._AAA, 0),
     ("extended._STEP", extended._STEP, 1),
     ("extended._FREES", extended._FREES, 1),

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from lamcalc import BindKind, Params, Sort, Var, parse_env, parse_term
+from lamcalc import BindKind, Params, Sort, Var, clear_caches, parse_env, parse_term
 from lamcalc.arity import aaa
 from lamcalc.reduction import cpr_reducts
 from lamcalc.statics import da, lsubd_holds, lstas
@@ -110,6 +110,27 @@ def test_da_lstas_chain():
             u = lstas(P, env, t, n)
             assert u is not None
             assert da(P, env, u) == max(d - n, 0)
+
+
+@pytest.mark.parametrize(
+    "judge",
+    [lambda env, t: da(P, env, t), lambda env, t: lstas(P, env, t, 1)],
+    ids=["da", "lstas"],
+)
+def test_a_look_alike_entry_is_refused_cold_and_warm(judge):
+    """An entry whose side is a plain tuple equal to ``*0`` is refused from
+    empty memo tables, and again after the same judgment on the real
+    ``*0``: no answer for an equal environment is given to it."""
+
+    look_alike = ((BindKind.ABBR, (0, 0)),)
+    real = ((BindKind.ABBR, Sort(0)),)
+    assert look_alike == real
+    clear_caches()
+    with pytest.raises(TypeError, match="not a term"):
+        judge(look_alike, Var(0))
+    assert judge(real, Var(0)) is not None
+    with pytest.raises(TypeError, match="not a term"):
+        judge(look_alike, Var(0))
 
 
 def test_lstas_irreflexive_at_positive_iterations():

@@ -128,6 +128,25 @@ def test_snv_walks_each_definition_of_a_chain_once(monkeypatch, depth):
     assert calls <= 2 * term_size(t)
 
 
+def test_snv_walks_each_entry_of_an_environment_chain_once(monkeypatch):
+    # [def *0; def (abbr #0 #1) …] ⊢ #0: each entry refers to the one below
+    # it twice, so a walk that forgets the entries it found valid doubles
+    # its work at every entry.
+    n = 16
+    env = parse_env("[" + "; ".join(["def *0"] + ["def (abbr #0 #1)"] * (n - 1)) + "]")
+    calls = 0
+    walk = validity._snv
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return walk(*args)
+
+    monkeypatch.setattr(validity, "_snv", counted)
+    assert snv_check(P, env, Var(0)).valid
+    assert calls <= 3 * n
+
+
 def test_snv_oracle_examples():
     assert snv_oracle(P, (), parse_term("*0"), 4)
     assert not snv_oracle(P, (), parse_term("#0"), 4)
