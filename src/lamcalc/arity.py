@@ -20,10 +20,7 @@ from .terms import (
     FlatKind,
     Term,
     Var,
-    _CLASSES,
-    _REFS,
-    _refs,
-    _refuse,
+    _judged_in,
     env_push,
 )
 
@@ -57,12 +54,7 @@ _AAA: dict[Env, dict[Term, Optional[Arity]]] = {}
 def aaa(env: Env, term: Term) -> Optional[Arity]:
     """Infer the atomic arity, or ``None`` if there is none."""
 
-    if type(term) not in _CLASSES:
-        _refuse(term)
-    if env:  # judged in () when it reads no entry (see lamcalc.memo)
-        refs = _REFS.get(term) or _refs(term)
-        if not refs or refs[0] >= len(env):
-            env = ()
+    env = _judged_in(env, term)  # () when it reads no entry of env
     got = _AAA.get(env, _UNSET).get(term, _UNSET)
     if got is not _UNSET:
         return got

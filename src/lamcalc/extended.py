@@ -38,7 +38,7 @@ from .terms import (
     Term,
     Var,
     _CLASSES,
-    _REFS,
+    _judged_in,
     _refs,
     _refuse,
     env_push,
@@ -82,12 +82,9 @@ _STEP: dict[tuple[int, int], dict[Env, dict[Term, dict[Term, bool]]]] = {}
 def _step_to(ext: tuple[int, int], env: Env, t1: Term, t2: Term) -> bool:
     if t1 == t2:
         return True
-    if type(t1) not in _CLASSES or type(t2) not in _CLASSES:
-        _refuse(t1, t2)
-    if env:  # judged in () when it reads no entry (see lamcalc.memo)
-        refs = _REFS.get(t1) or _refs(t1)
-        if not refs or refs[0] >= len(env):
-            env = ()
+    env = _judged_in(env, t1)  # () when it reads no entry of env
+    if type(t2) not in _CLASSES:
+        _refuse(t2)
     got = _STEP.get(ext, _UNSET).get(env, _UNSET).get(t1, _UNSET).get(t2)
     if got is not None:
         return got
@@ -251,19 +248,25 @@ def _frees(l: int, env: Env, term: Term) -> tuple[int, ...]:
     tuple of ints rather than a bitmask, whose width would be the largest
     index, or a frozenset, which the garbage collector tracks for life.
     In ``()`` these are the term's own, read from their per-term table.
+    A miss expands each entry it reaches once, on a work list.
     """
 
-    if type(term) not in _CLASSES:
-        _refuse(term)
-    own = _REFS.get(term) or _refs(term)
-    if not own or own[0] >= len(env):  # reads nothing of env: as in ()
-        return own
+    if not _judged_in(env, term):  # reads nothing of env: as in ()
+        return _refs(term)
     got = _FREES.get(l, _UNSET).get(env, _UNSET).get(term)
     if got is None:
-        out = set(own)
-        for j in own:
-            if l <= j < len(env):
-                out.update(j + 1 + k for k in _frees(0, env[j + 1 :], env[j][1]))
+        out = set(_refs(term))
+        todo = [j for j in out if l <= j < len(env)]
+        done = set(todo)
+        while todo:
+            j = todo.pop()
+            _refuse(env[j][1])
+            for k in _refs(env[j][1]):
+                i = j + 1 + k
+                out.add(i)
+                if i < len(env) and i not in done:
+                    done.add(i)
+                    todo.append(i)
         got = _FREES.setdefault(l, {}).setdefault(env, {})[term] = tuple(sorted(out))
     return got
 

@@ -17,7 +17,9 @@ on, so no call builds that key anew.  A judgment keeps a table only when
 its walk can reach one part or one environment entry more than once:
 ``aaa``, ``one_step``, the development, ``_step_to`` and ``_frees``
 reach an entry once per reference to it, so without memory a chain of
-definitions costs them exponential time.  ``lstas`` and ``da`` follow
+definitions costs them exponential time.  ``_frees`` alone fills a miss
+on a work list, which expands each entry it reaches once, so a chain of
+entries costs it no stack frame per link.  ``lstas`` and ``da`` follow
 one head chain, each step into one body or one entry, so they keep none.
 A judgment gets no table either when another table already holds its
 work: ``normalize`` iterates the memoized development, so it honours
@@ -47,12 +49,12 @@ term whose lowest free reference is at least ``len(env)``, or that has
 none, reads nothing of ``env``, and every judgment on it answers, raises
 and spends its budget as in ``()``.  Each judgment keyed by an
 environment (``one_step``, ``_develop``, ``aaa``, ``_step_to`` and
-``_frees``) keys such a term under ``()`` and computes a miss there, so
-the term is judged once for all the environments it does not read.  That
-costs one lookup in ``_REFS`` per call in a non-empty environment,
-written out at the top of each judgment: a helper function would cost a
-call on every hit as well.  ``_frees`` stores nothing under ``()``:
-there its answer is the term's own references, which ``_REFS`` holds.
+``_frees``) keys its term under ``terms._judged_in(env, term)``, the one
+statement of this rule, so the term is judged once for all the
+environments it does not read.  The call costs each lookup, hit or miss,
+about 20 ns in Python 3.11 (``aaa`` hit in ``()``: 222 → 245 ns).
+``_frees`` stores nothing under ``()``: there its answer is the term's
+own references, which ``_REFS`` holds.
 
 A table is nested one dict level per argument, the few-valued arguments
 (a sort hierarchy, a level) first, then the environment, then the term,

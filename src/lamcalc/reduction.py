@@ -42,10 +42,7 @@ from .terms import (
     Sort,
     Term,
     Var,
-    _CLASSES,
-    _REFS,
-    _refs,
-    _refuse,
+    _judged_in,
     env_push,
 )
 from .traversal import reach
@@ -99,12 +96,7 @@ def one_step(ext: Ext, env: Env, term: Term, budget: int) -> frozenset[Term]:
     changes when it raises, not whether.
     """
 
-    if type(term) not in _CLASSES:
-        _refuse(term)
-    if env:  # judged in () when it reads no entry (see lamcalc.memo)
-        refs = _REFS.get(term) or _refs(term)
-        if not refs or refs[0] >= len(env):
-            env = ()
+    env = _judged_in(env, term)  # () when it reads no entry of env
     got = _ONE_STEP.get(ext, _UNSET).get(env, _UNSET).get(term)
     if got is None:
 
@@ -241,12 +233,7 @@ def _develop(env: Env, term: Term) -> tuple[Term]:
     # most one contraction, and that is the development.  Running the
     # generator to its end is cheaper than closing it early, and ``next``
     # would cost a level of the recursion limit while it runs unspecialized.
-    if type(term) not in _CLASSES:
-        _refuse(term)
-    if env:  # judged in () when it reads no entry (see lamcalc.memo)
-        refs = _REFS.get(term) or _refs(term)
-        if not refs or refs[0] >= len(env):
-            env = ()
+    env = _judged_in(env, term)  # () when it reads no entry of env
     got = _FULL.get(env, _UNSET).get(term)
     if got is None:
         for got in _contractions(None, env, term, _develop, 1):

@@ -13,10 +13,11 @@ every report and counterexample uses.
 
 Parsing splits the text into tokens in one regular-expression pass, then
 builds the value in one loop over the tokens with an explicit stack, so it
-needs no recursion.  Nesting deeper than ``MAX_NESTING`` items raises
-``RecursionError``, which the command line answers with exit code 3.  The
-character offset of a ``ParseError`` is worked out only once parsing has
-failed.
+needs no recursion.  Each item is built by its constructor, which returns
+the one object of its value.  Nesting deeper than ``MAX_NESTING`` items
+raises ``RecursionError``, which the command line answers with exit code
+3.  The character offset of a ``ParseError`` is worked out only once
+parsing has failed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import re
 from itertools import islice
 
-from . import terms
 from .terms import Bind, BindKind, Env, Flat, FlatKind, Sort, Term, Var
 
 __all__ = [
@@ -51,18 +51,6 @@ _ITEM_WORDS = {
 }
 _ENTRY_WORD = {kind: word for word, kind in _ENTRY_KIND.items()}
 
-
-def _head(ctor: type, kind: int) -> tuple:
-    """An item's constructor, intern code, tag and kind.  The tag is
-    ``code >> 1``, so that terms.py alone states the tags."""
-
-    code = (terms._BIND_KINDS if ctor is Bind else terms._FLAT_KINDS)[kind][0]
-    return ctor, code, code >> 1, kind
-
-
-# Parsing interns an item as its constructor does, from its head, without
-# testing the classes of the parts it has just built.
-_ITEM_HEADS = {word: _head(*item) for word, item in _ITEM_KIND.items()}
 _ATOMS = {"*": Sort, "#": Var}
 # One token per bracket, semicolon or atom, and per run of other
 # characters that are not whitespace.  ``\s`` matches exactly what
@@ -128,20 +116,18 @@ def _term(text: str, toks: list[str], i: int,
           atoms: dict[str, Term]) -> tuple[Term, int]:
     """The term whose first token is ``toks[i]``, and the index after it.
 
-    ``stack`` holds each open item's head (a plain tuple, see
-    ``_ITEM_HEADS``), followed by its side once the item reads its body.
-    ``atoms`` shares each atom among its occurrences in one parse.
+    ``stack`` holds each open item's constructor and kind (a plain tuple,
+    from ``_ITEM_KIND``), followed by its side once the item reads its
+    body.  ``atoms`` shares each atom among its occurrences in one parse.
     """
 
     stack: list = []
     depth = 0
-    new = tuple.__new__
-    intern = terms._INTERN
     while True:
         tok = toks[i]
         i += 1
         if tok == "(":
-            head = _ITEM_HEADS.get(toks[i])
+            head = _ITEM_KIND.get(toks[i])
             if head is None:
                 raise _keyword_error(text, i, _ITEM_KIND, "unknown constructor")
             i += 1
@@ -162,12 +148,8 @@ def _term(text: str, toks: list[str], i: int,
             i += 1
             depth -= 1
             side = stack.pop()
-            ctor, code, tag, kind = stack.pop()
-            key = (code, id(side), id(term))
-            item = intern.get(key)
-            if item is None:
-                item = intern[key] = new(ctor, (tag, kind, side, term))
-            term = item
+            ctor, kind = stack.pop()
+            term = ctor(kind, side, term)
         else:
             return term, i
 

@@ -149,7 +149,32 @@ class Var(Term):
         return term
 
 
-class Bind(Term):
+class _Item(Term):
+    """``Bind`` and ``Flat``, which share their fields and constructor.
+
+    ``_KINDS``, indexed by a kind's value, gives the item's intern code,
+    ``2 * tag + kind`` (a plain int, so the collector untracks the keys),
+    and the enum member, which the term stores whatever was passed.
+    """
+
+    __slots__ = ()
+    __match_args__ = ("kind", "side", "body")
+    kind = property(itemgetter(1))
+    side = property(itemgetter(2))
+    body = property(itemgetter(3))
+
+    def __new__(cls, kind: int, side: Term, body: Term) -> _Item:
+        code, kind = cls._KINDS[kind]
+        key = (code, id(side), id(body))
+        term = _INTERN.get(key)
+        if term is None:
+            if type(side) not in _CLASSES or type(body) not in _CLASSES:
+                _refuse(side, body)
+            term = _INTERN[key] = tuple.__new__(cls, (code >> 1, kind, side, body))
+        return term
+
+
+class Bind(_Item):
     """Binder: ``abbr side body`` or ``abst side body``.
 
     The ``side`` is the definiens (for ABBR) or the declared type (for
@@ -157,23 +182,10 @@ class Bind(Term):
     """
 
     __slots__ = ()
-    __match_args__ = ("kind", "side", "body")
-    kind = property(itemgetter(1))
-    side = property(itemgetter(2))
-    body = property(itemgetter(3))
-
-    def __new__(cls, kind: BindKind, side: Term, body: Term) -> Bind:
-        code, kind = _BIND_KINDS[kind]
-        key = (code, id(side), id(body))
-        term = _INTERN.get(key)
-        if term is None:
-            if type(side) not in _CLASSES or type(body) not in _CLASSES:
-                _refuse(side, body)
-            term = _INTERN[key] = tuple.__new__(cls, (2, kind, side, body))
-        return term
+    _KINDS = ((4, BindKind.ABBR), (5, BindKind.ABST))
 
 
-class Flat(Term):
+class Flat(_Item):
     """Flat item: ``appl side body`` or ``cast side body``.
 
     For APPL the ``side`` is the argument and ``body`` the function part;
@@ -181,20 +193,7 @@ class Flat(Term):
     """
 
     __slots__ = ()
-    __match_args__ = ("kind", "side", "body")
-    kind = property(itemgetter(1))
-    side = property(itemgetter(2))
-    body = property(itemgetter(3))
-
-    def __new__(cls, kind: FlatKind, side: Term, body: Term) -> Flat:
-        code, kind = _FLAT_KINDS[kind]
-        key = (code, id(side), id(body))
-        term = _INTERN.get(key)
-        if term is None:
-            if type(side) not in _CLASSES or type(body) not in _CLASSES:
-                _refuse(side, body)
-            term = _INTERN[key] = tuple.__new__(cls, (3, kind, side, body))
-        return term
+    _KINDS = ((6, FlatKind.APPL), (7, FlatKind.CAST))
 
 
 # The intern table: the one term of each value built since it was last
@@ -203,15 +202,8 @@ class Flat(Term):
 # stay valid because the term stored under the key holds those parts.
 _INTERN: dict[tuple[int, ...], Term] = {}
 
-# Indexed by a kind's value, the binary constructors' kinds: each gives
-# the code that keys it in the intern table, ``2 * tag + kind`` (a plain
-# int, as every key holds, so that the collector untracks the key tuples),
-# and its enum member, which the term stores whatever was passed.
-_BIND_KINDS = ((4, BindKind.ABBR), (5, BindKind.ABST))
-_FLAT_KINDS = ((6, FlatKind.APPL), (7, FlatKind.CAST))
-
-# The four term classes.  A memoized judgment tests its term arguments
-# against these before it looks in its table, and a binder or a flat item
+# The four term classes.  ``_judged_in`` tests a memoized judgment's term
+# against these before its table is read, and a binder or a flat item
 # refuses parts of any other class: a tuple equal to a term hashes and
 # compares like it, so only the class tells them apart.
 _CLASSES = frozenset((Sort, Var, Bind, Flat))
@@ -317,9 +309,7 @@ def simple(t: Term) -> bool:
 def tsts(t1: Term, t2: Term) -> bool:
     """Same top structure: identical atom, or same-kind binary constructor."""
 
-    for t in (t1, t2):
-        if not isinstance(t, Term):
-            raise TypeError(f"not a term: {t!r}")
+    _refuse(t1, t2)
     # the first field: an atom's sort or index, a binary constructor's kind
     return type(t1) is type(t2) and t1[1] == t2[1]
 
@@ -380,6 +370,25 @@ def _refs(term: Term) -> tuple[int, ...]:
         _REFS[t] = got
         stack.pop()
     return got
+
+
+def _judged_in(env: Env, term: Term) -> Env:
+    """The environment a memoized judgment keys ``term`` under: ``()``
+    when ``term`` reads no entry of ``env`` (see ``_refs``), else ``env``.
+
+    The class test comes first, in every environment: a tuple equal to a
+    term would find that term's entries, in ``_REFS`` and in the table.
+    """
+
+    if type(term) not in _CLASSES:
+        raise TypeError(f"not a term: {term!r}")
+    if env:
+        refs = _REFS.get(term)
+        if refs is None:
+            refs = _refs(term)
+        if not refs or refs[0] >= len(env):
+            return ()
+    return env
 
 
 def closure_measure(c: Closure) -> int:

@@ -372,6 +372,12 @@ def test_deep_term_is_a_resource_error(depth):
     assert "error" in payload
 
 
+def test_lleq_on_a_long_chain_of_entries_does_not_hold():
+    chain = "; def #0" * 4999
+    argv = ["lleq", "--l", "0", "--t", "#0", f"[dec *0{chain}]", f"[dec *1{chain}]"]
+    assert invoke(argv) == (1, {"ok": False, "result": False})
+
+
 def test_out_of_memory_is_a_resource_error(monkeypatch):
     def exhaust(*args):
         raise MemoryError

@@ -356,6 +356,18 @@ def test_frees_of_a_reference_with_a_huge_index():
     assert llor(0, Var(0), env, parse_env("[dec *0]")) == parse_env("[dec *0]")
 
 
+def test_frees_follow_a_long_chain_of_entries():
+    """A chain of 5,000 entries, each referring to the next, is walked
+    without a stack frame per entry: only its outermost entry differs."""
+
+    n = 5000
+    env1 = parse_env("[dec *0" + "; def #0" * (n - 1) + "]")
+    env2 = parse_env("[dec *1" + "; def #0" * (n - 1) + "]")
+    assert frees_indices(0, env1, Var(0), n + 1) == frozenset(range(n))
+    assert not lleq_holds(0, Var(0), env1, env2)
+    assert lleq_holds(0, Var(0), env1, env1)
+
+
 def test_lleq_sorts_need_equal_length_only():
     assert lleq_holds(0, Sort(7), parse_env("[dec *0]"), parse_env("[def *1]"))
     assert not lleq_holds(0, Sort(7), parse_env("[dec *0]"), ())

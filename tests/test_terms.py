@@ -361,6 +361,7 @@ P = Params()
 
 # The public entry points of the kernel functions that dispatch on a term's
 # class, each called on the non-term ``x``.
+DEF0 = ((BindKind.ABBR, Sort(0)),)
 REFUSERS = {
     "lift": lambda x: lift(0, 1, x),
     "delift": lambda x: delift(0, 1, x),
@@ -389,6 +390,13 @@ REFUSERS = {
     "closure_measure": lambda x: closure_measure(Closure((), x)),
     "print_term": lambda x: print_term(x),
     "snv_check": lambda x: snv_check(P, (), x),
+    # in a non-empty environment, where the term's class is tested before
+    # its free references decide which environment keys its entry
+    "aaa-in-env": lambda x: aaa(DEF0, x),
+    "cpr_reducts-in-env": lambda x: cpr_reducts(DEF0, x),
+    "cpr_full-in-env": lambda x: cpr_full(DEF0, x),
+    "cpx_holds-in-env": lambda x: cpx_holds(P, DEF0, x, Sort(0)),
+    "frees_indices-in-env": lambda x: frees_indices(0, DEF0, x, 1),
 }
 
 # The last one is a plain tuple shaped like ``TWIN``: it is equal to that
@@ -470,3 +478,32 @@ def test_kernel_dispatches_without_class_patterns():
     assert {f for f in found if f[:2] not in PATTERN_EXEMPT} == set()
     # the walk does see patterns: each oracle still has its own
     assert {f[:2] for f in found} == PATTERN_EXEMPT
+
+
+def intern_uses(module: str, tree: ast.Module):
+    """``(module, line)`` of each name ``_INTERN`` and each call of
+    ``tuple.__new__``, outside memo's list of its tables."""
+
+    for top in tree.body:
+        if module == "memo" and isinstance(top, ast.Assign) and any(
+            getattr(target, "id", None) == "TABLES" for target in top.targets
+        ):
+            continue
+        for node in ast.walk(top):
+            named = getattr(node, "id", None) or getattr(node, "attr", None)
+            new = (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                   and getattr(node.value, "id", None) == "tuple")
+            if named == "_INTERN" or new:
+                yield module, node.lineno
+
+
+def test_only_terms_builds_and_interns_terms():
+    """The intern key and the tuple a term is built as are stated in
+    ``terms`` alone: every other module builds a term by its constructor."""
+
+    found = set()
+    for path in sorted(Path(lamcalc.__file__).parent.glob("*.py")):
+        found.update(intern_uses(path.stem, ast.parse(path.read_text())))
+    assert {f for f in found if f[0] != "terms"} == set()
+    # the walk does see them: terms has both
+    assert {f[0] for f in found} == {"terms"}
